@@ -102,45 +102,29 @@ impl RealHv {
             other.dim()
         );
         // Accumulate in f64: with D of several thousand, f32 accumulation
-        // error is visible in the regression error metrics. Four
-        // independent accumulators break the serial add-latency chain so
-        // the Eq. 5 cosine cluster search gets instruction-level
-        // parallelism; the combine order is FIXED as
-        // ((s0 + s1) + (s2 + s3)) + tail, so for a given width the result
-        // is deterministic (it differs from the old single-accumulator
-        // chain by f64 rounding, i.e. far below f32 resolution).
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut a4 = self.data.chunks_exact(4);
-        let mut b4 = other.data.chunks_exact(4);
-        for (ca, cb) in (&mut a4).zip(&mut b4) {
-            s0 += f64::from(ca[0]) * f64::from(cb[0]);
-            s1 += f64::from(ca[1]) * f64::from(cb[1]);
-            s2 += f64::from(ca[2]) * f64::from(cb[2]);
-            s3 += f64::from(ca[3]) * f64::from(cb[3]);
-        }
-        let mut tail = 0.0f64;
-        for (&a, &b) in a4.remainder().iter().zip(b4.remainder()) {
-            tail += f64::from(a) * f64::from(b);
-        }
-        (((s0 + s1) + (s2 + s3)) + tail) as f32
+        // error is visible in the regression error metrics. The kernel's
+        // four fixed lanes break the serial add-latency chain, and their
+        // combine order is fixed, so every SIMD level returns the same bits
+        // (see the lane contract in `crate::simd`).
+        crate::simd::dot_f64(&self.data, &other.data) as f32
     }
 
-    /// Euclidean norm `‖self‖₂`.
+    /// Clears `out` and pushes `self · o` for every `o` in `others`, each
+    /// bit-identical to [`RealHv::dot`]. The kernel streams `self` once per
+    /// group of rows, so `k` dots against one query cost far less than `k`
+    /// separate calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimensionality differs from `self`'s.
+    pub fn dots_into(&self, others: &[RealHv], out: &mut Vec<f32>) {
+        out.clear();
+        crate::simd::dots_f64(&self.data, others, |d| out.push(d as f32));
+    }
+
+    /// Euclidean norm `‖self‖₂`, accumulated like [`RealHv::dot`].
     pub fn norm(&self) -> f32 {
-        // Same 4-way unroll and fixed combine order as [`RealHv::dot`].
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut a4 = self.data.chunks_exact(4);
-        for ca in &mut a4 {
-            s0 += f64::from(ca[0]) * f64::from(ca[0]);
-            s1 += f64::from(ca[1]) * f64::from(ca[1]);
-            s2 += f64::from(ca[2]) * f64::from(ca[2]);
-            s3 += f64::from(ca[3]) * f64::from(ca[3]);
-        }
-        let mut tail = 0.0f64;
-        for &a in a4.remainder() {
-            tail += f64::from(a) * f64::from(a);
-        }
-        (((s0 + s1) + (s2 + s3)) + tail).sqrt() as f32
+        crate::simd::dot_f64(&self.data, &self.data).sqrt() as f32
     }
 
     /// In-place `self += alpha * other` — the core RegHD model update
@@ -222,7 +206,9 @@ impl RealHv {
     /// otherwise `0`. This is the single-comparison binarisation used by the
     /// quantized-clustering framework (§3.1).
     pub fn binarize(&self) -> crate::BinaryHv {
-        crate::BinaryHv::from_bits(self.dim(), self.data.iter().map(|&a| a > 0.0))
+        let mut words = vec![0u64; self.dim().div_ceil(64)];
+        crate::simd::pack_signs(&self.data, &mut words);
+        crate::BinaryHv::from_words(self.dim(), words)
     }
 
     /// Maps each component to `+1`/`-1` by sign (ties at 0 map to `-1`),

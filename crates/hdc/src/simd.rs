@@ -37,6 +37,31 @@
 //! [`crate::kernels::fast_cos`] bit-for-bit on finite inputs. (Non-finite
 //! inputs produce NaN on both paths; the NaN sign bit is unspecified.)
 //!
+//! # The f64 dot lane contract
+//!
+//! [`dot_f64`] backs [`RealHv::dot`] and [`RealHv::norm`], and
+//! [`dots_f64`] backs [`RealHv::dots_into`], so the Eq. 5 cosine search,
+//! the Eq. 6 model scores and every normalisation go through one kernel.
+//! Its result is fixed by the arithmetic, not by the level:
+//!
+//! * every product is `f64::from(a[i]) * f64::from(b[i])`, which is exact
+//!   (two 24-bit significands fit in f64's 53), so how a product is formed
+//!   never matters;
+//! * four f64 lanes start at `+0.0`; lane `l` adds the products at
+//!   `i = l, l + 4, l + 8, …` over the `chunks_exact(4)` prefix, in
+//!   ascending `i`;
+//! * the `len % 4` tail products add, in ascending `i`, into a separate
+//!   `tail` accumulator that starts at `+0.0`;
+//! * the result is `((l0 + l1) + (l2 + l3)) + tail`.
+//!
+//! The AVX2 arm holds the four lanes in one `__m256d` and issues separate
+//! multiply and add instructions, so it reproduces the scalar reference
+//! (`scalar_dot_f64`) bit for bit. Each lane is one serial chain of adds,
+//! so a single dot waits on add latency; [`dots_f64`] runs four rows'
+//! accumulators side by side against one pass over the shared operand,
+//! which changes the schedule and not a single add. aarch64 runs the scalar
+//! reference until a NEON arm can be tested on hardware.
+//!
 //! # Quantised-tier primitives
 //!
 //! The int8 dot kernel ([`dot_i8`]) and the popcount helpers
@@ -566,6 +591,80 @@ fn scalar_abs_sq_sums(vals: &[f32]) -> (f64, f64) {
     )
 }
 
+/// `Σ a[i]·b[i]` in f64 under the lane contract in the module docs: four
+/// fixed lanes over the `chunks_exact(4)` prefix, a separate tail, combined
+/// as `((l0 + l1) + (l2 + l3)) + tail`. Every level returns the same bits.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
+    assert_eq!(a.len(), b.len(), "dot_f64: length mismatch");
+    match active() {
+        // SAFETY: `active()` reports Avx2 only when the CPU has it, and the
+        // lengths were asserted equal above.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { avx2::dots_f64::<1>(a, [b])[0] },
+        _ => scalar_dot_f64(a, b),
+    }
+}
+
+/// `dot_f64(q, row)` for every row, handed to `emit` in row order. The
+/// results are the same bits as one [`dot_f64`] call per row; the AVX2 arm
+/// computes four rows per pass over `q`, so their add chains overlap.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `q`'s.
+pub fn dots_f64(q: &[f32], rows: &[RealHv], mut emit: impl FnMut(f64)) {
+    for row in rows {
+        assert_eq!(row.dim(), q.len(), "dots_f64: length mismatch");
+    }
+    match active() {
+        // SAFETY: `active()` reports Avx2 only when the CPU has it, and
+        // every row's length was asserted equal to `q`'s above.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            let mut groups = rows.chunks_exact(4);
+            for g in &mut groups {
+                let g = [
+                    g[0].as_slice(),
+                    g[1].as_slice(),
+                    g[2].as_slice(),
+                    g[3].as_slice(),
+                ];
+                unsafe { avx2::dots_f64::<4>(q, g) }
+                    .into_iter()
+                    .for_each(&mut emit);
+            }
+            for row in groups.remainder() {
+                emit(unsafe { avx2::dots_f64::<1>(q, [row.as_slice()])[0] });
+            }
+        }
+        _ => rows
+            .iter()
+            .for_each(|row| emit(scalar_dot_f64(q, row.as_slice()))),
+    }
+}
+
+/// The reference for [`dot_f64`], and the fallback on every level without
+/// its own arm.
+fn scalar_dot_f64(a: &[f32], b: &[f32]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut a4 = a.chunks_exact(4);
+    let mut b4 = b.chunks_exact(4);
+    for (ca, cb) in (&mut a4).zip(&mut b4) {
+        for (lane, (&x, &y)) in lanes.iter_mut().zip(ca.iter().zip(cb)) {
+            *lane += f64::from(x) * f64::from(y);
+        }
+    }
+    let mut tail = 0.0f64;
+    for (&x, &y) in a4.remainder().iter().zip(b4.remainder()) {
+        tail += f64::from(x) * f64::from(y);
+    }
+    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
+}
+
 /// Total set bits across packed words (`popcnt`-accelerated where the
 /// dispatch level allows).
 pub fn popcount_words(words: &[u64]) -> usize {
@@ -1076,6 +1175,39 @@ mod avx2 {
             ((abs_l[0] + abs_l[1]) + abs_l[2]) + abs_l[3],
             ((sq_l[0] + sq_l[1]) + sq_l[2]) + sq_l[3],
         )
+    }
+
+    /// `R` dots of `q` against `rows`, one pass over `q`.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees AVX2 and that every row is as long as `q`. Lane
+    /// `l` of `acc[r]` is lane `l` of `scalar_dot_f64(q, rows[r])`; the
+    /// tail is summed the same way.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dots_f64<const R: usize>(q: &[f32], rows: [&[f32]; R]) -> [f64; R] {
+        let n = q.len() / 4 * 4;
+        let mut acc = [_mm256_setzero_pd(); R];
+        let mut i = 0;
+        while i < n {
+            let vq = _mm256_cvtps_pd(_mm_loadu_ps(q.as_ptr().add(i)));
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                let vr = _mm256_cvtps_pd(_mm_loadu_ps(row.as_ptr().add(i)));
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(vq, vr));
+            }
+            i += 4;
+        }
+        let mut out = [0.0f64; R];
+        for ((o, a), row) in out.iter_mut().zip(&acc).zip(&rows) {
+            let mut lanes = [0.0f64; 4];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), *a);
+            let mut tail = 0.0f64;
+            for (&x, &y) in q[n..].iter().zip(&row[n..]) {
+                tail += f64::from(x) * f64::from(y);
+            }
+            *o = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail;
+        }
+        out
     }
 
     // -- integer primitives ------------------------------------------------
@@ -1959,6 +2091,65 @@ mod tests {
                         assert_eq!((a.to_bits(), s.to_bits()), *w, "level {level:?} len={len}")
                     }
                 }
+            });
+        }
+    }
+
+    /// In-test 4-lane reference, written independently of
+    /// `scalar_dot_f64`: lane `i % 4` over the `len / 4 * 4` prefix, then a
+    /// separate serial tail.
+    fn lane_reference(a: &[f32], b: &[f32]) -> f64 {
+        let n = a.len() / 4 * 4;
+        let mut lanes = [0.0f64; 4];
+        for i in 0..n {
+            lanes[i % 4] += f64::from(a[i]) * f64::from(b[i]);
+        }
+        let tail = (n..a.len()).fold(0.0f64, |t, i| t + f64::from(a[i]) * f64::from(b[i]));
+        ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
+    }
+
+    #[test]
+    fn dot_f64_matches_lane_reference_across_levels() {
+        let mut rng = HdRng::seed_from(73);
+        let extremes = [
+            f32::from_bits(1),          // smallest subnormal
+            -f32::from_bits(0x7f_ffff), // largest subnormal, negated
+            1e30,
+            -1e30,
+            0.0,
+            -0.0,
+        ];
+        let lens = (0usize..=67).chain([8192]);
+        for len in lens {
+            let mut a = gaussian(len, &mut rng);
+            let b = gaussian(len, &mut rng);
+            // Sprinkle the extremes through `a` so every lane and the tail
+            // see subnormal and ±1e30 operands.
+            for (i, v) in a.iter_mut().enumerate().filter(|(i, _)| i % 5 == 1) {
+                *v = extremes[i % extremes.len()];
+            }
+            let want = lane_reference(&a, &b).to_bits();
+            let want_sq = lane_reference(&a, &a).to_bits();
+            // Rows for the multi-row kernel: a full group of four plus a
+            // remainder of three, each row a different rotation of `b`.
+            let rows: Vec<RealHv> = (0..7)
+                .map(|r| {
+                    let mut v = b.clone();
+                    v.rotate_left(if len == 0 { 0 } else { r % len });
+                    RealHv::from_vec(v)
+                })
+                .collect();
+            let want_rows: Vec<u64> = rows
+                .iter()
+                .map(|r| lane_reference(&a, r.as_slice()).to_bits())
+                .collect();
+            with_levels(|level| {
+                let at = format!("level {level:?} len={len}");
+                assert_eq!(dot_f64(&a, &b).to_bits(), want, "{at}");
+                assert_eq!(dot_f64(&a, &a).to_bits(), want_sq, "{at}");
+                let mut got = Vec::new();
+                dots_f64(&a, &rows, |d| got.push(d.to_bits()));
+                assert_eq!(got, want_rows, "dots_f64 {at}");
             });
         }
     }

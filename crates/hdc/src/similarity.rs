@@ -41,12 +41,19 @@ pub fn cosine(a: &RealHv, b: &RealHv) -> f32 {
         a.dim(),
         b.dim()
     );
-    let na = a.norm();
-    let nb = b.norm();
+    cosine_from_dot(a.dot(b), a.norm(), b.norm())
+}
+
+/// [`cosine`] from its parts: `dot == a.dot(b)`, `na == a.norm()`,
+/// `nb == b.norm()`. The Eq. 5 cluster search caches each cluster's norm,
+/// computes the query's once per row and all `k` dots in one kernel call;
+/// this applies the same zero-norm rule, the same `dot / (na·nb)` and the
+/// same clamp, so the result is bit-identical to `cosine(a, b)`.
+pub fn cosine_from_dot(dot: f32, na: f32, nb: f32) -> f32 {
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
-    let c = a.dot(b) / (na * nb);
+    let c = dot / (na * nb);
     c.clamp(-1.0, 1.0)
 }
 

@@ -137,6 +137,9 @@ pub struct Event {
 #[derive(Debug)]
 pub struct Epoll {
     fd: i32,
+    /// The most events one `wait` asks the kernel for; `raw` holds at
+    /// least this many `RawEvent`s.
+    capacity: usize,
     raw: Vec<u64>, // RawEvent storage, kept as u64s for easy zero-init
     decoded: Vec<Event>,
 }
@@ -147,10 +150,10 @@ impl Epoll {
     pub fn new(capacity: usize) -> io::Result<Self> {
         let fd = check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
         let capacity = capacity.max(1);
-        // Over-allocate the raw buffer: RawEvent is at most 16 bytes.
-        let words = capacity * 2 + 2;
+        let words = (capacity * std::mem::size_of::<RawEvent>()).div_ceil(8);
         Ok(Self {
             fd: fd as i32,
+            capacity,
             raw: vec![0u64; words],
             decoded: Vec::with_capacity(capacity),
         })
@@ -188,7 +191,9 @@ impl Epoll {
     /// Blocks for up to `timeout_ms` (`-1`: forever) and returns the ready
     /// events. An interrupting signal yields an empty slice.
     pub fn wait(&mut self, timeout_ms: i32) -> io::Result<&[Event]> {
-        let max = self.decoded.capacity();
+        // The bound comes from `capacity`, which sized `raw`, not from
+        // `decoded.capacity()`: `Vec::with_capacity` may round up.
+        let max = self.capacity;
         // `epoll_pwait` with a null sigmask behaves exactly like
         // `epoll_wait`; aarch64 only provides the former.
         let n = match check(unsafe {
@@ -210,7 +215,7 @@ impl Epoll {
         let base = self.raw.as_ptr() as *const RawEvent;
         for i in 0..n.min(max) {
             // In-bounds: the kernel wrote `n <= max` events into `raw`,
-            // whose allocation covers `max` RawEvents.
+            // which `new` sized to hold `capacity == max` RawEvents.
             let ev = unsafe { std::ptr::read_unaligned(base.add(i)) };
             let bits = ev.events;
             self.decoded.push(Event {

@@ -23,7 +23,7 @@
 
 use crate::config::{ClusterMode, PredictionMode};
 use hdc::rng::HdRng;
-use hdc::similarity::{cosine, hamming_similarity};
+use hdc::similarity::{cosine_from_dot, hamming_similarity};
 use hdc::{BinaryHv, BipolarHv, RealHv};
 
 /// Mean absolute component value — the scalar amplitude paired with a
@@ -44,6 +44,10 @@ pub struct ClusterBank {
     int: Vec<RealHv>,
     /// Binary copies `C_i^b` (empty in `Integer` mode).
     bin: Vec<BinaryHv>,
+    /// `norms[i] == int[i].norm()`, refreshed by every method that writes
+    /// `int` (`new`, `from_parts`, `update`, `reset`), so the Eq. 5 search
+    /// costs one dot per cluster.
+    norms: Vec<f32>,
 }
 
 impl ClusterBank {
@@ -60,12 +64,11 @@ impl ClusterBank {
         let int: Vec<RealHv> = (0..k)
             .map(|_| BipolarHv::random(dim, rng).to_real())
             .collect();
-        let bin = int.iter().map(RealHv::binarize).collect();
-        Self { mode, int, bin }
+        Self::from_parts(mode, int)
     }
 
     /// Rebuilds a bank from persisted integer clusters; the binary copies
-    /// are re-derived by binarisation.
+    /// are re-derived by binarisation and the norms recomputed.
     ///
     /// # Panics
     ///
@@ -78,7 +81,13 @@ impl ClusterBank {
             "clusters must share a dimensionality"
         );
         let bin = int.iter().map(RealHv::binarize).collect();
-        Self { mode, int, bin }
+        let norms = int.iter().map(RealHv::norm).collect();
+        Self {
+            mode,
+            int,
+            bin,
+            norms,
+        }
     }
 
     /// Number of clusters `k`.
@@ -119,10 +128,21 @@ impl ClusterBank {
     /// Allocation-free variant of [`ClusterBank::similarities`]: clears
     /// `out` and fills it with one similarity per cluster. Batched
     /// prediction reuses one buffer across rows.
+    ///
+    /// `Integer` mode reads only `s`: it computes the query norm once and
+    /// all `k` dots in one kernel call, then divides by the cached cluster
+    /// norms — bit-identical to `cosine(s, c)` per cluster. The binary
+    /// modes read only `s_bin`.
     pub fn similarities_into(&self, s: &RealHv, s_bin: &BinaryHv, out: &mut Vec<f32>) {
         out.clear();
         match self.mode {
-            ClusterMode::Integer => out.extend(self.int.iter().map(|c| cosine(s, c))),
+            ClusterMode::Integer => {
+                let ns = s.norm();
+                s.dots_into(&self.int, out);
+                for (sim, &nc) in out.iter_mut().zip(&self.norms) {
+                    *sim = cosine_from_dot(*sim, ns, nc);
+                }
+            }
             ClusterMode::FrameworkBinary | ClusterMode::NaiveBinary => {
                 self.binary_similarities_into(s_bin, out)
             }
@@ -166,6 +186,7 @@ impl ClusterBank {
                 self.int[l] = self.bin[l].to_real_signed();
             }
         }
+        self.norms[l] = self.int[l].norm();
     }
 
     /// Re-initialises cluster `l` to fresh random binary values — the same
@@ -181,6 +202,7 @@ impl ClusterBank {
         let dim = self.int[l].dim();
         self.int[l] = BipolarHv::random(dim, rng).to_real();
         self.bin[l] = self.int[l].binarize();
+        self.norms[l] = self.int[l].norm();
     }
 
     /// Epoch boundary: re-quantise binary copies from the integer copies
@@ -251,14 +273,7 @@ impl ModelBank {
         };
         // Populate binary copies/amps regardless of mode so inspection is
         // coherent; prediction only reads them in the binary modes.
-        for ((b, a), m) in bank.bin.iter_mut().zip(&mut bank.amps).zip(&bank.int) {
-            *b = m.binarize();
-            *a = if m.is_empty() {
-                0.0
-            } else {
-                (m.as_slice().iter().map(|&v| v.abs() as f64).sum::<f64>() / m.dim() as f64) as f32
-            };
-        }
+        bank.end_epoch_forced();
         bank
     }
 
@@ -296,28 +311,14 @@ impl ModelBank {
     /// Allocation-free variant of [`ModelBank::scores`]: clears `out` and
     /// fills it with one raw score per model. Batched prediction reuses one
     /// buffer across rows.
+    ///
+    /// `s_bin` and `s_amp` are read only by the binary-query modes
+    /// ([`PredictionMode::query_is_binary`]); `Full` and `BinaryModel` read
+    /// only `s`.
     pub fn scores_into(&self, s: &RealHv, s_bin: &BinaryHv, s_amp: f32, out: &mut Vec<f32>) {
-        self.scores_into_mode(self.mode, s, s_bin, s_amp, out);
-    }
-
-    /// Like [`ModelBank::scores_into`] but in an explicit mode rather than
-    /// the bank's configured one. The serving layer uses this to force the
-    /// multiply-free `BinaryQuery` path (§3.2) as a degraded fallback
-    /// regardless of how the model was trained. Note that the binary model
-    /// copies are refreshed per epoch only in the binary-model modes, so
-    /// forcing `BinaryModel`/`BinaryBoth` on a bank built in another mode
-    /// reads copies derived at construction ([`ModelBank::from_parts`]).
-    pub fn scores_into_mode(
-        &self,
-        mode: PredictionMode,
-        s: &RealHv,
-        s_bin: &BinaryHv,
-        s_amp: f32,
-        out: &mut Vec<f32>,
-    ) {
         out.clear();
-        match mode {
-            PredictionMode::Full => out.extend(self.int.iter().map(|m| m.dot(s))),
+        match self.mode {
+            PredictionMode::Full => s.dots_into(&self.int, out),
             PredictionMode::BinaryQuery => {
                 out.extend(self.int.iter().map(|m| s_amp * s_bin.signed_dot(m)))
             }
@@ -424,6 +425,18 @@ impl EncodedQuery {
         Self { real, binary, amp }
     }
 
+    /// Builds the bundle for modes that read only the real encoding (the
+    /// `Integer` cluster search with `Full` or `BinaryModel` scores): the
+    /// binary view is an empty placeholder and `amp` is `0.0`, so nothing
+    /// is allocated or computed beyond `real`.
+    pub(crate) fn real_only(real: RealHv) -> Self {
+        Self {
+            real,
+            binary: BinaryHv::zeros(0),
+            amp: 0.0,
+        }
+    }
+
     /// Builds the bundle from a real encoding and a binary form produced
     /// alongside it (the fused `Encoder::encode_both` path). The caller
     /// guarantees `binary` is the sign-binarisation of `real`; only the
@@ -437,7 +450,7 @@ impl EncodedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc::similarity::argmax;
+    use hdc::similarity::{argmax, cosine};
 
     fn rng() -> HdRng {
         HdRng::seed_from(11)
@@ -465,6 +478,67 @@ mod tests {
         let sims = bank.similarities(&q.real, &q.binary);
         assert_eq!(argmax(&sims), Some(1));
         assert!((sims[1] - 1.0).abs() < 1e-5);
+    }
+
+    /// The norm cache must track `int` through every write, in every mode:
+    /// each cached norm equals a fresh `norm()` bit-for-bit, and the search
+    /// equals the uncached per-cluster metric bit-for-bit — `cosine` in
+    /// `Integer` mode, Hamming against the binary copies otherwise.
+    #[test]
+    fn norm_cache_stays_coherent_through_every_write() {
+        let dim = 259;
+        let mut r = HdRng::seed_from(29);
+        let probes: Vec<EncodedQuery> = (0..3)
+            .map(|_| EncodedQuery::new(RealHv::random_gaussian(dim, &mut r)))
+            .chain([EncodedQuery::new(RealHv::zeros(dim))])
+            .collect();
+        let check = |bank: &ClusterBank, step: &str| {
+            for (c, &n) in bank.integer_clusters().iter().zip(&bank.norms) {
+                assert_eq!(n.to_bits(), c.norm().to_bits(), "{:?} {step}", bank.mode);
+            }
+            for q in &probes {
+                let mut got = Vec::new();
+                bank.similarities_into(&q.real, &q.binary, &mut got);
+                let want: Vec<f32> = match bank.mode {
+                    ClusterMode::Integer => bank
+                        .integer_clusters()
+                        .iter()
+                        .map(|c| cosine(&q.real, c))
+                        .collect(),
+                    _ => bank
+                        .binary_clusters()
+                        .iter()
+                        .map(|c| hamming_similarity(&q.binary, c))
+                        .collect(),
+                };
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{:?} {step}", bank.mode);
+            }
+        };
+        for mode in [
+            ClusterMode::Integer,
+            ClusterMode::FrameworkBinary,
+            ClusterMode::NaiveBinary,
+        ] {
+            let mut bank = ClusterBank::new(3, dim, mode, &mut r);
+            check(&bank, "new");
+            for step in 0..6 {
+                let s = RealHv::random_gaussian(dim, &mut r);
+                bank.update(step % 3, 0.1 * step as f32, &s);
+                check(&bank, "update");
+                if step % 2 == 1 {
+                    bank.end_epoch();
+                    check(&bank, "end_epoch");
+                }
+            }
+            bank.reset(1, &mut r);
+            check(&bank, "reset");
+            // A zero cluster exercises the zero-norm rule from the cache.
+            let mut parts = bank.integer_clusters().to_vec();
+            parts[2] = RealHv::zeros(dim);
+            let rebuilt = ClusterBank::from_parts(mode, parts);
+            check(&rebuilt, "from_parts");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! ("the quality of regression stabilizes during the last few iterations").
 
 use crate::banks::{ClusterBank, EncodedQuery, ModelBank};
-use crate::config::{PredictionMode, RegHdConfig, UpdateRule};
+use crate::config::{ClusterMode, RegHdConfig, UpdateRule};
 use crate::traits::{FitReport, Regressor};
 use encoding::Encoder;
 use hdc::rng::HdRng;
@@ -30,9 +30,9 @@ use hdc::{RealHv, TrigMode};
 /// Holds the encoded-hypervector slots the blocked batch encoder writes
 /// into plus the per-row similarity/confidence/score buffers. A caller that
 /// keeps one `PredictScratch` alive across calls (the `reghd-serve` worker
-/// loop does) gets a steady-state prediction path with **no `RealHv`
-/// allocations per request** — the remaining per-row allocation is the
-/// 8×-smaller binary view built by [`EncodedQuery::new`].
+/// loop does) gets a full-tier path that allocates nothing per row in the
+/// default `Integer`/`Full` modes; the modes that read the query's binary
+/// view still build it per row.
 #[derive(Debug, Default)]
 pub struct PredictScratch {
     /// Output slots for the batch encoder; grown on demand, never shrunk.
@@ -258,16 +258,6 @@ impl RegHdRegressor {
         self.forward(&q).0
     }
 
-    /// Batched prediction through the **bit-packed binary tier** —
-    /// identical to [`RegHdRegressor::predict_batch_binary`]. The serving
-    /// layer historically called this entry point for its degraded-mode
-    /// fallback; the tier is now also selectable per request (it answers
-    /// both explicit binary-tier requests and overload demotions), so the
-    /// two names share one implementation.
-    pub fn predict_batch_degraded(&self, xs: &[Vec<f32>]) -> Vec<f32> {
-        self.predict_batch_binary(xs)
-    }
-
     /// Batched prediction through the **bit-packed binary tier**: int8
     /// integer encode (where the encoder supports it, see
     /// [`encoding::Encoder::encode_quantized_into`]), sign-packed query
@@ -376,24 +366,11 @@ impl RegHdRegressor {
     }
 
     /// [`Regressor::predict_batch`] with caller-owned scratch buffers — the
-    /// zero-allocation serving entry point. Results are bit-identical to
-    /// `predict_batch` (which is this method with throwaway scratch).
-    pub fn predict_batch_with(&self, xs: &[Vec<f32>], scratch: &mut PredictScratch) -> Vec<f32> {
-        self.predict_batch_mode_with(xs, self.models.mode(), scratch)
-    }
-
-    /// The shared batch-prediction engine: blocked batch encode into the
+    /// serving entry point of the full tier. Blocked batch encode into the
     /// scratch slots, then one forward pass per row with every intermediate
-    /// buffer reused. `mode` selects the score path (`scores_into` is
-    /// `scores_into_mode` with the bank's own mode, so passing it here
-    /// changes nothing for the configured path and lets the degraded
-    /// fallback force `BinaryQuery`).
-    fn predict_batch_mode_with(
-        &self,
-        xs: &[Vec<f32>],
-        mode: PredictionMode,
-        scratch: &mut PredictScratch,
-    ) -> Vec<f32> {
+    /// buffer reused. Results are bit-identical to `predict_batch` (which
+    /// is this method with throwaway scratch).
+    pub fn predict_batch_with(&self, xs: &[Vec<f32>], scratch: &mut PredictScratch) -> Vec<f32> {
         let mut out = vec![0.0f32; xs.len()];
         let threads = self.effective_threads();
         if threads > 1 && xs.len() > 1 {
@@ -402,10 +379,10 @@ impl RegHdRegressor {
             // the sequential run; each worker carries its own scratch.
             hdc::par::chunked_zip_mut(xs, &mut out, threads, |part, out_part| {
                 let mut local = PredictScratch::default();
-                self.predict_chunk_into(part, out_part, mode, &mut local);
+                self.predict_chunk_into(part, out_part, &mut local);
             });
         } else {
-            self.predict_chunk_into(xs, &mut out, mode, scratch);
+            self.predict_chunk_into(xs, &mut out, scratch);
         }
         out
     }
@@ -414,14 +391,11 @@ impl RegHdRegressor {
     /// the scratch slots (bit-identical to scalar `encode`), then run the
     /// forward pass per row, handing each slot's buffer back for the next
     /// call. Non-finite rows short-circuit to `NaN` exactly like the old
-    /// per-row loop.
-    fn predict_chunk_into(
-        &self,
-        xs: &[Vec<f32>],
-        out: &mut [f32],
-        mode: PredictionMode,
-        scratch: &mut PredictScratch,
-    ) {
+    /// per-row loop. The query's binary view and amplitude are built only
+    /// when the cluster or prediction mode reads them.
+    fn predict_chunk_into(&self, xs: &[Vec<f32>], out: &mut [f32], scratch: &mut PredictScratch) {
+        let needs_binary =
+            self.clusters.mode() != ClusterMode::Integer || self.models.mode().query_is_binary();
         if scratch.encoded.len() < xs.len() {
             scratch.encoded.resize(xs.len(), RealHv::default());
         }
@@ -439,12 +413,16 @@ impl RegHdRegressor {
             if self.config.normalize_encodings {
                 real.normalize();
             }
-            let q = EncodedQuery::new(real);
+            let q = if needs_binary {
+                EncodedQuery::new(real)
+            } else {
+                EncodedQuery::real_only(real)
+            };
             self.clusters
                 .similarities_into(&q.real, &q.binary, &mut scratch.sims);
             softmax_into(&scratch.sims, self.config.softmax_beta, &mut scratch.conf);
             self.models
-                .scores_into_mode(mode, &q.real, &q.binary, q.amp, &mut scratch.scores);
+                .scores_into(&q.real, &q.binary, q.amp, &mut scratch.scores);
             out[i] = scratch
                 .conf
                 .iter()
@@ -1051,15 +1029,15 @@ mod tests {
         let mut m = make(4, 21);
         m.fit(&xs, &ys);
         let seq = m.predict_batch(&xs);
-        let seq_degraded = m.predict_batch_degraded(&xs);
+        let seq_binary = m.predict_batch_binary(&xs);
         for threads in [0usize, 2, 4, 8] {
             m.set_threads(threads);
             assert_eq!(m.threads(), threads);
             assert_eq!(m.predict_batch(&xs), seq, "threads={threads}");
             assert_eq!(
-                m.predict_batch_degraded(&xs),
-                seq_degraded,
-                "degraded threads={threads}"
+                m.predict_batch_binary(&xs),
+                seq_binary,
+                "binary tier threads={threads}"
             );
         }
         m.set_threads(1);
@@ -1188,28 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_path_is_the_binary_tier() {
-        // The degraded fallback and the explicitly requested binary tier
-        // are one implementation: identical outputs, in every mode.
-        let (xs, ys) = multimodal(200, 14);
-        for cluster in [
-            ClusterMode::Integer,
-            ClusterMode::FrameworkBinary,
-            ClusterMode::NaiveBinary,
-        ] {
-            for pred in PredictionMode::ALL {
-                let mut m = make_with(4, cluster, pred, 14);
-                m.fit(&xs, &ys);
-                assert_eq!(
-                    m.predict_batch_binary(&xs[..10]),
-                    m.predict_batch_degraded(&xs[..10]),
-                    "tier diverged under {cluster:?}/{pred:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn binary_tier_is_finite_and_deterministic_in_every_mode() {
         let (xs, ys) = multimodal(200, 16);
         for cluster in [
@@ -1250,7 +1206,7 @@ mod tests {
         let mut m = make(4, 15);
         m.fit(&xs, &ys);
         let full = m.predict_batch(&xs[..50]);
-        let degraded = m.predict_batch_degraded(&xs[..50]);
+        let degraded = m.predict_batch_binary(&xs[..50]);
         assert!(degraded.iter().all(|p| p.is_finite()));
         // Quantisation costs accuracy but the estimate stays in the same
         // regime (the paper reports <4% quality loss for binary paths).
@@ -1265,7 +1221,7 @@ mod tests {
             .sum::<f32>()
             / 50.0;
         assert!(mse < var, "degraded path diverged: mse {mse} vs var {var}");
-        let nan_row = m.predict_batch_degraded(&[vec![f32::NAN, 0.0]]);
+        let nan_row = m.predict_batch_binary(&[vec![f32::NAN, 0.0]]);
         assert!(nan_row[0].is_nan());
     }
 }

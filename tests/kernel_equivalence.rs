@@ -167,8 +167,8 @@ fn predict_batch_with_scratch_is_bit_identical_in_every_mode() {
                 );
             }
             m.set_threads(1);
-            // Degraded (binary-query) replies go through the same engine.
-            let deg = m.predict_batch_degraded(&xs);
+            // Degraded replies are answered by the bit-packed binary tier.
+            let deg = m.predict_batch_binary(&xs);
             assert_eq!(deg.len(), xs.len());
             assert!(deg.iter().all(|p| p.is_finite()));
         }
@@ -203,4 +203,89 @@ fn fast_trig_predictions_stay_close_end_to_end() {
     }
     m.set_trig_mode(TrigMode::Exact);
     assert_eq!(bits(&m.predict_batch(&xs)), bits(&exact));
+}
+
+/// FNV-1a (64-bit) over a byte stream — a dependency-free fingerprint for
+/// the golden hashes below.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Deterministic rows with a smooth nonlinear target, from a fixed
+/// xorshift stream (independent of every RNG in the workspace).
+fn golden_dataset(n: usize, features: usize) -> Dataset {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0
+    };
+    let xs: Vec<Vec<f32>> = (0..n)
+        .map(|_| (0..features).map(|_| next()).collect())
+        .collect();
+    let ys = xs
+        .iter()
+        .map(|x| x[0] * 2.0 - x[1] + (3.0 * x[features - 1]).sin() + 0.5 * x[0] * x[1])
+        .collect();
+    Dataset::new("golden", xs, ys)
+}
+
+/// Golden bit-identity: the trained bundle bytes and the first 100
+/// prediction bit patterns (full tier, then binary tier) of
+/// `bundle::train` at three shapes, pinned as FNV-1a hashes. Any change to
+/// the f64 dot/norm lane order, the cosine search, the binarisation
+/// threshold or the skipped binary view that moves a single bit fails
+/// here, under every `REGHD_SIMD` level.
+#[test]
+fn trained_bundles_and_predictions_match_golden_hashes() {
+    // (dim, models, features, quantized) → (bundle, full preds, binary preds)
+    let cases = [
+        (
+            (8192, 8, 18, false),
+            (0x1a18a26aa39aa737, 0x5bffea7bf8d1a9ca, 0x81db6e95da2777e5),
+        ),
+        (
+            (256, 4, 4, false),
+            (0x6addf287f4c69394, 0x59af07929ec8bf66, 0x3613faea2053a862),
+        ),
+        (
+            (259, 3, 5, false),
+            (0xa06e4e09c99cd0af, 0xff9701d267bc4a7b, 0x980e3bd51dd7dd26),
+        ),
+        (
+            (256, 4, 4, true),
+            (0xd3dae486c620a566, 0x206c8ea8ba8db6ec, 0x178e3a2530de8cea),
+        ),
+        (
+            (259, 3, 5, true),
+            (0x3ae57471f783669f, 0x70fb8a3a729d1fb6, 0x01a771810caed4ab),
+        ),
+    ];
+    let mut failures = Vec::new();
+    for ((dim, models, features, quantized), want) in cases {
+        let ds = golden_dataset(160, features);
+        let (bundle, _) =
+            reghd_serve::bundle::train(&ds, dim, models, 4, 11, quantized).expect("train");
+        let bytes = bundle.to_bytes().expect("serialise");
+        let rows = &ds.features[..100];
+        let full = bundle.predict(rows).expect("predict");
+        let binary = bundle.predict_binary(rows).expect("predict binary");
+        let pred_hash = |p: &[f32]| fnv1a(p.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        let got = (fnv1a(bytes), pred_hash(&full), pred_hash(&binary));
+        if got != want {
+            failures.push(format!(
+                "(D={dim}, k={models}, f={features}, quantized={quantized}): \
+                 got ({:#018x}, {:#018x}, {:#018x}), want ({:#018x}, {:#018x}, {:#018x})",
+                got.0, got.1, got.2, want.0, want.1, want.2
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "golden hashes moved:\n{}",
+        failures.join("\n")
+    );
 }

@@ -62,7 +62,7 @@ fn predict_batch_is_bit_identical_in_every_mode_at_every_thread_count() {
             let mut m = RegHdRegressor::new(cfg, Box::new(NonlinearEncoder::new(4, 256, 5)));
             m.fit(&xs, &ys);
             let seq = m.predict_batch(&xs);
-            let seq_deg = m.predict_batch_degraded(&xs);
+            let seq_deg = m.predict_batch_binary(&xs);
             for threads in THREADS {
                 m.set_threads(threads);
                 assert_eq!(
@@ -71,7 +71,7 @@ fn predict_batch_is_bit_identical_in_every_mode_at_every_thread_count() {
                     "{cluster:?}/{pred:?} threads={threads}"
                 );
                 assert_eq!(
-                    bits(&m.predict_batch_degraded(&xs)),
+                    bits(&m.predict_batch_binary(&xs)),
                     bits(&seq_deg),
                     "degraded {cluster:?}/{pred:?} threads={threads}"
                 );
