@@ -12,7 +12,7 @@
 //! reghd-cli eval    --csv data.csv --model model.rghd [--trig exact|fast]
 //! reghd-cli predict --csv data.csv --model model.rghd [--trig exact|fast]
 //! reghd-cli serve   --model model.rghd --addr 127.0.0.1:7878
-//!                   [--proto rgnp|line] [--name NAME] [--workers N] [--threads N]
+//!                   [--name NAME] [--workers N] [--threads N]
 //!                   [--trig exact|fast] [--max-batch N] [--max-wait-us N]
 //!                   [--queue-cap N] [--max-conns N] [--deadline-us N]
 //!                   [--shed-p95-us N] [--pollers N] [--max-frame N]
@@ -20,8 +20,7 @@
 //!                   [--sweep-interval-ms N]
 //! reghd-cli loadgen --addr HOST:PORT --model NAME [--row f32,f32,...]
 //!                   [--conns N] [--rate RPS] [--secs N] [--json PATH]
-//! reghd-cli inject  --addr HOST:PORT --kind bitflip|delay|kill|panic|garble|clear
-//!                   [--model NAME] [--rate R] [--seed N] [--ms N] [--n N]
+//! reghd-cli admin   --addr HOST:PORT --cmd "reload NAME PATH|sweep|inject ..."
 //! ```
 //!
 //! CSV format: numeric columns, optional header, **last column is the
@@ -35,7 +34,7 @@
 //! publication into an in-process serving registry (`--publish-to` +
 //! `--serve-addr`). Sources: `drift:<abrupt|gradual|incremental>:<features>:
 //! <period>` (synthetic non-stationary stream), `csv:<path>` (replay), and
-//! `tcp:<host>:<port>:<features>` (line-protocol feed, one CSV row per
+//! `tcp:<host>:<port>:<features>` (newline-delimited feed, one CSV row per
 //! line, target last).
 //!
 //! `--threads N` sets row-parallelism for batch encoding/prediction
@@ -49,16 +48,16 @@
 //! training-time arithmetic bit for bit; canary replays always force exact
 //! mode, so bundle integrity checks are unaffected by this knob.
 //!
-//! `serve` defaults to the **RGNP** binary protocol (`docs/PROTOCOL.md`):
-//! an epoll poller pool multiplexing pipelined length-prefixed frames
-//! (`reghd-net`). `serve --proto line` keeps the legacy line-oriented
-//! protocol implemented in `reghd-serve`; both front-ends answer
-//! bit-identically. `loadgen` drives a running RGNP server open-loop at a
-//! fixed offered rate and reports latency quantiles. `serve --canary`
+//! `serve` speaks the **RGNP** binary protocol (`docs/PROTOCOL.md`): an
+//! epoll poller pool multiplexing pipelined length-prefixed frames
+//! (`reghd-net`, Linux only). `loadgen` drives a running server open-loop
+//! at a fixed offered rate and reports latency quantiles. `serve --canary`
 //! replays the bundle's embedded canary rows before binding the socket;
-//! `serve --chaos` enables the `inject` protocol command so a running
-//! server can be fault-tested, and `inject` is the matching client that
-//! arms one fault (see the README's Fault tolerance section).
+//! `serve --sweep-interval-ms N` runs the background integrity sweep;
+//! `serve --chaos` enables `inject` admin commands so a running server can
+//! be fault-tested. `admin` sends one operator command (`reload`, `sweep`,
+//! `inject …`) and prints the reply (see the README's Fault tolerance
+//! section).
 
 use reghd_serve::bundle::{self, ModelBundle};
 use std::process::ExitCode;
@@ -76,7 +75,7 @@ fn usage() -> ! {
          reghd-cli predict --csv <data.csv> --model <model.rghd> [--trig exact|fast] \
          [--tier full|binary] [--simd auto|avx2|neon|scalar]\n  \
          reghd-cli serve   [--model <model.rghd>] [--store DIR] [--name NAME] [--addr HOST:PORT] \
-         [--proto rgnp|line] [--workers N] [--threads N] [--trig exact|fast] \
+         [--workers N] [--threads N] [--trig exact|fast] \
          [--simd auto|avx2|neon|scalar] [--max-batch N] \
          [--max-wait-us N] [--queue-cap N] [--max-conns N] [--deadline-us N] [--shed-p95-us N] \
          [--pollers N] [--max-frame N] [--write-budget N] \
@@ -86,8 +85,7 @@ fn usage() -> ! {
          reghd-cli store   <init|ingest|stats|compact|predict> --dir DIR \
          [--shards N] [--hot-budget-mb N] [--model model.rghd] [--key KEY] [--copies N] \
          [--csv data.csv]\n  \
-         reghd-cli inject  --addr <HOST:PORT> --kind <bitflip|delay|kill|panic|garble|clear> \
-         [--model NAME] [--rate R] [--seed N] [--ms N] [--n N]"
+         reghd-cli admin   --addr <HOST:PORT> --cmd \"<reload NAME PATH|sweep|inject ...>\""
     );
     std::process::exit(2);
 }
@@ -220,7 +218,7 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&args),
         "loadgen" => cmd_loadgen(&args),
         "store" => cmd_store(argv.get(1).map(String::as_str).unwrap_or(""), &args),
-        "inject" => cmd_inject(&args),
+        "admin" => cmd_admin(&args),
         _ => {
             eprintln!("unknown command: {cmd}");
             usage();
@@ -366,8 +364,8 @@ fn open_source(spec: &SourceSpec, seed: u64) -> Result<Box<dyn reghd_train::Samp
 }
 
 fn cmd_train_stream(args: &Args) -> Result<(), String> {
+    use reghd_net::{serve_rgnp, NetConfig};
     use reghd_serve::registry::ModelRegistry;
-    use reghd_serve::server::{serve, ServerConfig};
     use reghd_train::{
         DriftAction, EwmaDetector, PageHinkley, PublishTarget, Trainer, TrainerConfig,
     };
@@ -424,12 +422,12 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
     }
     let server = match args.get("serve-addr") {
         Some(addr) => {
-            let handle = serve(
-                ServerConfig {
+            let handle = serve_rgnp(
+                NetConfig {
                     addr: addr.to_string(),
                     threads,
                     train_status: Some(trainer.status()),
-                    ..ServerConfig::default()
+                    ..NetConfig::default()
                 },
                 registry.clone(),
             )
@@ -603,9 +601,9 @@ fn cmd_store(action: &str, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    use reghd_net::{serve_rgnp, NetConfig};
     use reghd_serve::batcher::BatcherConfig;
     use reghd_serve::registry::ModelRegistry;
-    use reghd_serve::server::{serve, ServerConfig};
     use reghd_serve::shed::ShedConfig;
     use std::sync::Arc;
     use std::time::Duration;
@@ -698,85 +696,41 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     } else {
         threads.to_string()
     };
-    match args.get("proto").unwrap_or("rgnp") {
-        "rgnp" => {
-            use reghd_net::{serve_rgnp, NetConfig};
-            if chaos {
-                return Err("--chaos (the inject command) needs the line protocol; \
-                     add --proto line"
-                    .to_string());
-            }
-            if sweep_interval_ms > 0 {
-                return Err(
-                    "--sweep-interval-ms needs the line protocol; add --proto line".to_string(),
-                );
-            }
-            let cfg = NetConfig {
-                addr,
-                pollers: args.parse_num("pollers", 0),
-                workers,
-                threads,
-                trig,
-                batcher,
-                max_connections: max_conns,
-                deadline,
-                shed,
-                max_frame: args.parse_num("max-frame", NetConfig::default().max_frame),
-                write_budget: args.parse_num("write-budget", NetConfig::default().write_budget),
-                ..NetConfig::default()
-            };
-            let handle = serve_rgnp(cfg, registry).map_err(|e| e.to_string())?;
-            println!(
-                "serving RGNP on {} with {workers} workers (threads={threads_label}, \
-                 max_batch={max_batch}, max_wait={max_wait_us}µs)",
-                handle.local_addr(),
-            );
-            println!(
-                "protocol: RGNP v1 binary frames (see docs/PROTOCOL.md); \
-                      drive with `reghd-cli loadgen`"
-            );
-            // Serve until the process is killed; Ctrl-C terminates the listener.
-            loop {
-                std::thread::sleep(Duration::from_secs(60));
-            }
-        }
-        "line" => {
-            let cfg = ServerConfig {
-                addr,
-                workers,
-                threads,
-                trig,
-                batcher,
-                max_connections: max_conns,
-                deadline,
-                shed,
-                sweep_interval: (sweep_interval_ms > 0)
-                    .then(|| Duration::from_millis(sweep_interval_ms)),
-                enable_inject: chaos,
-                ..ServerConfig::default()
-            };
-            let handle = serve(cfg, registry).map_err(|e| e.to_string())?;
-            println!(
-                "serving on {} with {workers} workers (threads={threads_label}, \
-                 max_batch={max_batch}, max_wait={max_wait_us}µs)",
-                handle.local_addr(),
-            );
-            if chaos {
-                println!("chaos mode: the `inject` protocol command is ENABLED");
-            }
-            if sweep_interval_ms > 0 {
-                println!("integrity sweep every {sweep_interval_ms}ms");
-            }
-            println!(
-                "protocol: predict <model> <f32,f32,...> | reload <model> <path> | sweep | \
-                 stats | health"
-            );
-            // Serve until the process is killed; Ctrl-C terminates the listener.
-            loop {
-                std::thread::sleep(Duration::from_secs(60));
-            }
-        }
-        other => Err(format!("unknown protocol {other:?} (expected rgnp|line)")),
+    let cfg = NetConfig {
+        addr,
+        pollers: args.parse_num("pollers", 0),
+        workers,
+        threads,
+        trig,
+        batcher,
+        max_connections: max_conns,
+        deadline,
+        shed,
+        max_frame: args.parse_num("max-frame", NetConfig::default().max_frame),
+        write_budget: args.parse_num("write-budget", NetConfig::default().write_budget),
+        sweep_interval: (sweep_interval_ms > 0).then(|| Duration::from_millis(sweep_interval_ms)),
+        enable_inject: chaos,
+        ..NetConfig::default()
+    };
+    let handle = serve_rgnp(cfg, registry).map_err(|e| e.to_string())?;
+    println!(
+        "serving RGNP on {} with {workers} workers (threads={threads_label}, \
+         max_batch={max_batch}, max_wait={max_wait_us}µs)",
+        handle.local_addr(),
+    );
+    if chaos {
+        println!("chaos mode: `inject` admin commands are ENABLED");
+    }
+    if sweep_interval_ms > 0 {
+        println!("integrity sweep every {sweep_interval_ms}ms");
+    }
+    println!(
+        "protocol: RGNP v1 binary frames (see docs/PROTOCOL.md); \
+         drive with `reghd-cli loadgen` and `reghd-cli admin`"
+    );
+    // Serve until the process is killed; Ctrl-C terminates the listener.
+    loop {
+        std::thread::sleep(Duration::from_secs(60));
     }
 }
 
@@ -876,63 +830,17 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the protocol line for one `inject` invocation, or an error for
-/// a bad combination of flags. Pure so the flag → line mapping is testable
-/// without a server.
-fn inject_line(args: &Args) -> Result<String, String> {
-    let kind = args.require("kind");
-    match kind {
-        "bitflip" => {
-            let model = args.require("model");
-            let rate: f64 = args.parse_num("rate", 0.05);
-            let seed: u64 = args.parse_num("seed", 0);
-            if !(0.0..=1.0).contains(&rate) {
-                return Err("--rate must be in [0,1]".to_string());
-            }
-            Ok(format!("inject bitflip {model} {rate} {seed}"))
-        }
-        "delay" => {
-            let ms: u64 = args.parse_num("ms", 0);
-            Ok(format!("inject delay {ms}"))
-        }
-        "kill" | "panic" => {
-            let n: usize = args.parse_num("n", 1);
-            Ok(format!("inject {kind} {n}"))
-        }
-        "garble" => {
-            let rate: f64 = args.parse_num("rate", 0.0);
-            if !(0.0..=1.0).contains(&rate) {
-                return Err("--rate must be in [0,1]".to_string());
-            }
-            Ok(format!("inject garble {rate}"))
-        }
-        "clear" => Ok("inject clear".to_string()),
-        other => Err(format!(
-            "unknown fault kind {other} (expected bitflip|delay|kill|panic|garble|clear)"
-        )),
-    }
-}
-
-fn cmd_inject(args: &Args) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
+/// Sends one `ADMIN` command line and prints the server's reply.
+fn cmd_admin(args: &Args) -> Result<(), String> {
+    use reghd_net::RgnpClient;
 
     let addr = args.require("addr");
-    let line = inject_line(args)?;
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    writeln!(stream, "{line}").map_err(|e| e.to_string())?;
-    stream.flush().map_err(|e| e.to_string())?;
-    let mut reply = String::new();
-    BufReader::new(stream)
-        .read_line(&mut reply)
-        .map_err(|e| e.to_string())?;
-    let reply = reply.trim_end();
-    if reply.is_empty() {
-        return Err("server closed the connection without a reply".to_string());
-    }
-    println!("{reply}");
-    if reply.starts_with("err") {
-        return Err(format!("server refused: {reply}"));
+    let cmd = args.require("cmd");
+    let mut client = RgnpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    match client.admin(cmd).map_err(|e| e.to_string())? {
+        Ok(text) if text.is_empty() => println!("ok"),
+        Ok(text) => println!("ok {text}"),
+        Err(msg) => return Err(format!("server refused: {msg}")),
     }
     Ok(())
 }
@@ -1024,29 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn inject_lines_render_per_kind() {
-        let line = |args: &[&str]| super::inject_line(&parse(args));
-        assert_eq!(
-            line(&["--kind", "bitflip", "--model", "toy", "--rate", "0.1", "--seed", "7"]),
-            Ok("inject bitflip toy 0.1 7".to_string())
-        );
-        assert_eq!(
-            line(&["--kind", "delay", "--ms", "250"]),
-            Ok("inject delay 250".to_string())
-        );
-        assert_eq!(line(&["--kind", "kill"]), Ok("inject kill 1".to_string()));
-        assert_eq!(
-            line(&["--kind", "panic", "--n", "3"]),
-            Ok("inject panic 3".to_string())
-        );
-        assert_eq!(
-            line(&["--kind", "garble", "--rate", "0.5"]),
-            Ok("inject garble 0.5".to_string())
-        );
-        assert_eq!(line(&["--kind", "clear"]), Ok("inject clear".to_string()));
-    }
-
-    #[test]
     fn source_specs_parse_per_scheme() {
         use super::{parse_source_spec, SourceSpec};
         use datasets::drift::DriftKind;
@@ -1108,13 +993,5 @@ mod tests {
         );
         let err = super::parse_trig(&parse(&["--trig", "approximate"])).unwrap_err();
         assert!(err.contains("unknown trig mode"), "{err}");
-    }
-
-    #[test]
-    fn inject_rejects_bad_kind_and_rate() {
-        let err = super::inject_line(&parse(&["--kind", "meteor"])).unwrap_err();
-        assert!(err.contains("unknown fault kind"), "{err}");
-        let err = super::inject_line(&parse(&["--kind", "garble", "--rate", "1.5"])).unwrap_err();
-        assert!(err.contains("must be in [0,1]"), "{err}");
     }
 }

@@ -1,10 +1,11 @@
-//! `reghd-net` — event-driven RGNP front-end for the RegHD serving stack.
+//! `reghd-net` — the event-driven RGNP front-end of the RegHD serving
+//! stack, and the only way to serve.
 //!
-//! The legacy line protocol (`reghd-serve`) spends one OS thread per
-//! connection; at 10k connections that is 10k stacks and a scheduler
-//! meltdown. This crate replaces the transport layer with a readiness
-//! model while reusing every piece of the PR 7 serving machinery
-//! (registry, batcher, workers, shed, deadlines) unchanged:
+//! A thread per connection would mean 10k stacks at 10k connections, so
+//! this crate multiplexes every socket over a few epoll pollers. The
+//! serving engine — registry, batcher, workers, shed controller,
+//! deadlines, metrics, fault injection — lives in `reghd-serve`; this
+//! crate adds the transport:
 //!
 //! * [`sys`]: a dependency-free epoll + wakeup-pipe layer built on raw
 //!   Linux syscalls (the same direct-syscall idiom as `reghd-store`'s
@@ -13,16 +14,18 @@
 //!   with explicit request ids, so clients pipeline requests and the
 //!   server completes them out of order (see `docs/PROTOCOL.md`).
 //! * [`server`]: a fixed poller-thread pool multiplexing all
-//!   connections, with per-connection write-budget backpressure and
-//!   idle/reply timeouts; model math still runs on the worker pool.
+//!   connections, with per-connection write-budget backpressure,
+//!   idle/reply timeouts, the `ADMIN` operator commands (reload, sweep,
+//!   fault injection) and a background integrity sweeper; model math
+//!   still runs on the worker pool.
 //! * [`client`]: a small blocking RGNP client for tests, the CLI, and
 //!   the chaos harness.
 //! * [`loadgen`]: an open-loop (fixed offered rate) load generator that
 //!   reports latency quantiles without coordinated omission.
 //!
-//! On non-Linux platforms the codec and config types still build, but
-//! [`server::serve_rgnp`] and the loadgen return `Unsupported` errors —
-//! use the legacy line front-end there.
+//! Serving is Linux-only (x86_64/aarch64). On other platforms the codec,
+//! client and config types still build, but [`server::serve_rgnp`] and
+//! the loadgen return `Unsupported` errors.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

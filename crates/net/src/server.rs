@@ -8,8 +8,8 @@
 //! * A fixed pool of **poller threads** (default: up to 4), each owning a
 //!   private epoll set, a slab of connections, and a [`sys::WakePipe`].
 //!   Pollers parse frames, answer cheap requests inline (stats, list,
-//!   ping, degraded-tier predictions), and enqueue full-precision rows
-//!   into the shared [`Batcher`] exactly like the line front-end does.
+//!   ping, admin commands, degraded-tier predictions), and enqueue
+//!   full-precision rows into the shared [`Batcher`].
 //! * **Workers** complete rows through a [`ReplySink::from_fn`] callback
 //!   that pushes the result into the owning poller's inbox and wakes it —
 //!   the poller turns completions into reply frames on its own thread, so
@@ -18,16 +18,20 @@
 //! Backpressure is per-connection: a connection whose write buffer exceeds
 //! [`NetConfig::write_budget`] stops being read (its requests back up into
 //! the kernel socket buffer and eventually the client), and is re-armed
-//! when the buffer drains below half the budget. Admission control reuses
-//! the PR 7 machinery: queue-full enqueues answer `BUSY`, drain answers
+//! when the buffer drains below half the budget. Admission control lives
+//! in `reghd-serve`: queue-full enqueues answer `BUSY`, drain answers
 //! `DRAINING`, per-request deadlines expire rows into the degraded tier.
+//!
+//! An optional **sweeper thread** runs the registry's integrity sweep every
+//! [`NetConfig::sweep_interval`], rolling a corrupted model back to its
+//! last good version; the `ADMIN sweep` command runs the same sweep on
+//! demand.
 
 use crate::frame::{self, opcode, status, FrameBuf, Step};
 use reghd_serve::batcher::{Batcher, BatcherConfig, EnqueueResult};
 use reghd_serve::faults::FaultInjector;
 use reghd_serve::metrics::{MetricsHub, ModelMetrics};
-use reghd_serve::registry::{ModelRegistry, ServedModel};
-use reghd_serve::server::{degraded_value, model_line, render_stats};
+use reghd_serve::registry::{ModelMeta, ModelRegistry, ServedModel, SweepReport};
 use reghd_serve::shed::{ShedConfig, ShedController};
 use reghd_serve::status::TrainStatus;
 use reghd_serve::worker::{ReplySink, WorkError, WorkItem, WorkerPool};
@@ -46,10 +50,16 @@ pub struct NetConfig {
     pub pollers: usize,
     /// Worker threads running model predictions.
     pub workers: usize,
-    /// Row-parallelism inside each model call (see the line server's
-    /// `ServerConfig::threads`).
+    /// Row-parallelism inside each model call: prediction batches are split
+    /// across this many scoped threads with per-row arithmetic unchanged
+    /// (bit-identical results). `0` means "use available parallelism";
+    /// `1` is sequential. Applied to every model in the registry at startup
+    /// and inherited by later loads and reloads.
     pub threads: usize,
-    /// Trigonometry mode for encoding (see `ServerConfig::trig`).
+    /// Trigonometry mode for encoding ([`hdc::TrigMode::Exact`] by
+    /// default). `Fast` trades a documented error bound
+    /// ([`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`]) for throughput. Applied
+    /// like `threads`; canary replays always force `Exact`.
     pub trig: hdc::TrigMode,
     /// Micro-batching knobs.
     pub batcher: BatcherConfig,
@@ -58,7 +68,9 @@ pub struct NetConfig {
     /// A request unanswered for this long is settled through the degraded
     /// path; its late completion is discarded.
     pub reply_timeout: Duration,
-    /// Per-request deadline from enqueue (see `ServerConfig::deadline`).
+    /// Per-request deadline, measured from enqueue. A row still queued
+    /// when its deadline passes is shed before any model arithmetic runs
+    /// and answered through the degraded path. `None` disables expiry.
     pub deadline: Option<Duration>,
     /// Hard cap on concurrently open connections. Over the cap, a
     /// connection gets one `BUSY` frame and is closed. `0`: unlimited.
@@ -71,10 +83,15 @@ pub struct NetConfig {
     /// Per-connection write-buffer budget in bytes; reading stops above
     /// it and resumes once the buffer drains below half.
     pub write_budget: usize,
-    /// Streaming-trainer status for the `train-status` opcode.
+    /// Streaming-trainer status for the `TRAIN_STATUS` opcode; `None`
+    /// makes that opcode answer `ERR no trainer attached`.
     pub train_status: Option<Arc<TrainStatus>>,
-    /// Seed for the worker-pool fault injector (chaos harness).
-    pub fault_seed: u64,
+    /// Run a registry integrity sweep this often (`None` disables the
+    /// background sweeper; `ADMIN sweep` always works).
+    pub sweep_interval: Option<Duration>,
+    /// Accept `ADMIN inject …` commands. Off by default: fault injection
+    /// is a test/chaos facility, not a production surface.
+    pub enable_inject: bool,
 }
 
 impl Default for NetConfig {
@@ -94,7 +111,8 @@ impl Default for NetConfig {
             max_frame: frame::DEFAULT_MAX_FRAME,
             write_budget: 256 * 1024,
             train_status: None,
-            fault_seed: 0,
+            sweep_interval: None,
+            enable_inject: false,
         }
     }
 }
@@ -152,6 +170,8 @@ mod imp {
         hub: Arc<MetricsHub>,
         batcher: Arc<Batcher>,
         shed: Option<Arc<ShedController>>,
+        injector: Arc<FaultInjector>,
+        enable_inject: bool,
         train_status: Option<Arc<TrainStatus>>,
         deadline: Option<Duration>,
         reply_timeout: Duration,
@@ -225,9 +245,198 @@ mod imp {
         }
     }
 
+    /// One `model …` inventory line, shared by `STATS` and `LIST`. The
+    /// registry returns metas name-sorted, so replies built from it are
+    /// deterministic for a given set of loaded models.
+    fn model_line(m: &ModelMeta) -> String {
+        format!(
+            "model {} v{} hash={} dim={} k={} cluster={} prediction={} bytes={} canary={} mem={}",
+            m.name,
+            m.version,
+            m.hash,
+            m.dim,
+            m.models,
+            m.cluster_mode,
+            m.prediction_mode,
+            m.bytes,
+            m.canary_rows,
+            m.mem,
+        )
+    }
+
+    /// The `STATS` payload: registry inventory plus per-model counters.
+    fn render_stats(ctx: &NetCtx) -> Vec<String> {
+        let (registry, hub) = (&ctx.registry, &ctx.hub);
+        let mut lines: Vec<String> = registry.list().iter().map(model_line).collect();
+        lines.extend(hub.render_all());
+        if let Some(store) = registry.resolver_stats() {
+            lines.push(format!("store {store}"));
+            let h = registry.resolver_health();
+            lines.push(format!(
+                "resolver retries={} failures={} breaker_trips={} short_circuits={} \
+                 open_breakers={}",
+                h.retries, h.failures, h.breaker_trips, h.short_circuits, h.open_breakers,
+            ));
+        }
+        let (tier, demotions, promotions) = match &ctx.shed {
+            Some(s) => (
+                if s.is_degraded() { "degraded" } else { "full" },
+                s.demotions(),
+                s.promotions(),
+            ),
+            None => ("full", 0, 0),
+        };
+        lines.push(format!(
+            "server connections={} connections_rejected={} bad_requests={} queue_depth={} \
+             canary_failures={} rollbacks={} sweeps={} tier={tier} demotions={demotions} \
+             promotions={promotions}",
+            hub.connections.load(Ordering::Relaxed),
+            hub.connections_rejected.load(Ordering::Relaxed),
+            hub.bad_requests.load(Ordering::Relaxed),
+            ctx.batcher.depth(),
+            hub.canary_failures.load(Ordering::Relaxed),
+            hub.rollbacks.load(Ordering::Relaxed),
+            hub.sweeps.load(Ordering::Relaxed),
+        ));
+        lines
+    }
+
+    /// Answers one row through the §3.2 bit-packed binary tier, recording
+    /// the outcome into `metrics`. Runs inline on the poller, so it cannot
+    /// be starved by the very saturation or faults it compensates for.
+    ///
+    /// # Errors
+    ///
+    /// The message of the failed model call (or a non-finite estimate).
+    fn degraded_value(
+        served: &ServedModel,
+        metrics: &ModelMetrics,
+        row: &[f32],
+    ) -> Result<f32, String> {
+        match served.bundle.predict_binary(&[row.to_vec()]) {
+            Ok(preds) if preds.first().is_some_and(|p| p.is_finite()) => {
+                metrics.record_degraded();
+                Ok(preds[0])
+            }
+            Ok(_) => {
+                metrics.record_error();
+                Err("degraded prediction not finite".to_string())
+            }
+            Err(msg) => {
+                metrics.record_error();
+                Err(msg)
+            }
+        }
+    }
+
+    /// Runs one registry sweep and folds the result into the hub counters.
+    fn run_sweep(registry: &ModelRegistry, hub: &MetricsHub) -> SweepReport {
+        let report = registry.sweep();
+        hub.sweeps.fetch_add(1, Ordering::Relaxed);
+        hub.rollbacks
+            .fetch_add(report.rolled_back as u64, Ordering::Relaxed);
+        report
+    }
+
+    /// Runs one `ADMIN` command line (`reload <model> <path>`, `sweep`, or
+    /// `inject …`). `Ok` text is sent as an `OK` reply, `Err` as `ERR`.
+    /// Runs inline on the poller: other connections on the same poller wait
+    /// for a reload's decode and canary replay.
+    fn handle_admin(ctx: &NetCtx, line: &str) -> Result<String, String> {
+        let mut parts = line.split_whitespace();
+        match parts.next() {
+            Some("sweep") => {
+                let r = run_sweep(&ctx.registry, &ctx.hub);
+                Ok(format!(
+                    "swept checked={} corrupted={} rolled_back={}",
+                    r.checked, r.corrupted, r.rolled_back
+                ))
+            }
+            Some("inject") if !ctx.enable_inject => Err("inject disabled".to_string()),
+            Some("inject") => handle_inject(ctx, &mut parts),
+            Some("reload") => {
+                let (Some(name), Some(path)) = (parts.next(), parts.next()) else {
+                    ctx.hub.bad_requests.fetch_add(1, Ordering::Relaxed);
+                    return Err("usage: reload <model> <path>".to_string());
+                };
+                match ctx.registry.reload(name, path) {
+                    Ok(meta) => Ok(format!("reloaded {} v{}", meta.name, meta.version)),
+                    Err(e) => {
+                        if matches!(e, ServeError::Canary(_)) {
+                            ctx.hub.canary_failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e.to_string())
+                    }
+                }
+            }
+            other => {
+                ctx.hub.bad_requests.fetch_add(1, Ordering::Relaxed);
+                Err(format!(
+                    "unknown admin command {}",
+                    other.unwrap_or("(empty)")
+                ))
+            }
+        }
+    }
+
+    /// Parses and executes the arguments of an `inject` command (the
+    /// server's chaos surface).
+    fn handle_inject(
+        ctx: &NetCtx,
+        parts: &mut std::str::SplitWhitespace<'_>,
+    ) -> Result<String, String> {
+        const USAGE: &str = "usage: inject bitflip <model> <rate> <seed> | delay <ms> | \
+                             kill <n> | panic <n> | clear";
+        let usage = || Err(USAGE.to_string());
+        match parts.next() {
+            Some("bitflip") => {
+                let (Some(name), Some(rate), Some(seed)) =
+                    (parts.next(), parts.next(), parts.next())
+                else {
+                    return usage();
+                };
+                let (Ok(rate), Ok(seed)) = (rate.parse::<f64>(), seed.parse::<u64>()) else {
+                    return usage();
+                };
+                if !(0.0..=1.0).contains(&rate) {
+                    return Err("rate must be in [0,1]".to_string());
+                }
+                match ctx.registry.inject_model_faults(name, rate, seed) {
+                    Ok(flips) => Ok(format!("injected flips={flips}")),
+                    Err(e) => Err(e.to_string()),
+                }
+            }
+            Some("delay") => match parts.next().and_then(|t| t.parse::<u64>().ok()) {
+                Some(ms) => {
+                    ctx.injector.set_worker_delay(Duration::from_millis(ms));
+                    Ok(String::new())
+                }
+                None => usage(),
+            },
+            Some("kill") => match parts.next().and_then(|t| t.parse::<usize>().ok()) {
+                Some(n) => {
+                    ctx.injector.kill_workers(n);
+                    Ok(String::new())
+                }
+                None => usage(),
+            },
+            Some("panic") => match parts.next().and_then(|t| t.parse::<usize>().ok()) {
+                Some(n) => {
+                    ctx.injector.panic_batches(n);
+                    Ok(String::new())
+                }
+                None => usage(),
+            },
+            Some("clear") => {
+                ctx.injector.clear();
+                Ok(String::new())
+            }
+            _ => usage(),
+        }
+    }
+
     /// Settles one row of a pending request, consuming the slot exactly
-    /// once. Expired/dropped rows fall back to the inline degraded path,
-    /// mirroring the line protocol.
+    /// once. Expired/dropped rows fall back to the inline degraded path.
     fn settle_slot(p: &mut PendingReq, slot: usize, result: Result<f32, WorkError>) {
         if slot >= p.results.len() || p.results[slot].is_some() {
             return; // duplicate or out-of-range: already settled
@@ -327,12 +536,7 @@ mod imp {
         match f.kind {
             opcode::PING => frame::encode_empty_reply(&mut conn.out, status::OK, f.req_id),
             opcode::STATS => {
-                let lines = render_stats(
-                    &ctx.registry,
-                    &ctx.hub,
-                    ctx.batcher.depth(),
-                    ctx.shed.as_deref(),
-                );
+                let lines = render_stats(ctx);
                 frame::encode_text_reply(&mut conn.out, status::OK, f.req_id, &lines.join("\n"));
             }
             opcode::LIST => {
@@ -350,6 +554,20 @@ mod imp {
                     "no trainer attached",
                 ),
             },
+            opcode::ADMIN => {
+                let reply = match std::str::from_utf8(&f.payload) {
+                    Ok(line) => handle_admin(ctx, line),
+                    Err(_) => {
+                        ctx.hub.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        Err("admin command is not UTF-8".to_string())
+                    }
+                };
+                let (st, text) = match &reply {
+                    Ok(text) => (status::OK, text),
+                    Err(msg) => (status::ERR, msg),
+                };
+                frame::encode_text_reply(&mut conn.out, st, f.req_id, text);
+            }
             opcode::PREDICT | opcode::PREDICT_BATCH => {
                 handle_predict(ctx, shared, token, conn, f);
             }
@@ -365,9 +583,8 @@ mod imp {
         }
     }
 
-    /// The predict / predict-batch path: validation and admission mirror
-    /// the line protocol (`handle_line`) so the two front-ends answer
-    /// identically for the same rows.
+    /// The predict / predict-batch path: validation, admission, and the
+    /// inline degraded tier.
     fn handle_predict(
         ctx: &NetCtx,
         shared: &Arc<PollerShared>,
@@ -427,9 +644,8 @@ mod imp {
         {
             // Requested binary tier, corrupt-flagged model, or adaptive
             // shed: the §3.2 bit-packed binary path is cheap enough to run
-            // inline on the poller, exactly as the line server runs it
-            // inline on the connection thread. The DEGRADED status tells
-            // the client which precision answered.
+            // inline on the poller. The DEGRADED status tells the client
+            // which precision answered.
             let mut results = Vec::with_capacity(rows.len());
             let mut err: Option<String> = None;
             for row in &rows {
@@ -657,8 +873,7 @@ mod imp {
             for req_id in overdue {
                 let mut p = conn.pending.remove(&req_id).expect("present");
                 // Timed out (slow worker, lost completion): every
-                // unsettled row is answered degraded, like the line
-                // protocol's recv_timeout fallback. A completion arriving
+                // unsettled row is answered degraded. A completion arriving
                 // later finds no pending entry and is discarded.
                 for slot in 0..p.results.len() {
                     if p.results[slot].is_none() {
@@ -734,7 +949,10 @@ mod imp {
             for &token in touched.iter() {
                 after_work(&ctx, &epoll, &mut conns, token);
             }
-            if shared.stop.load(Ordering::SeqCst) {
+            // A stopping poller keeps running while any request is in
+            // flight: a worker completes it, or the reply-timeout scan
+            // below answers it degraded.
+            if shared.stop.load(Ordering::SeqCst) && conns.values().all(|c| c.pending.is_empty()) {
                 // Final drain: deliver completions the batcher settled
                 // while shutting down, flush best-effort, close.
                 touched.clear();
@@ -767,6 +985,7 @@ mod imp {
         local_addr: SocketAddr,
         stop: Arc<AtomicBool>,
         accept_thread: Option<JoinHandle<()>>,
+        sweeper_thread: Option<JoinHandle<()>>,
         pollers: Vec<(Arc<PollerShared>, Option<JoinHandle<()>>)>,
         hub: Arc<MetricsHub>,
         batcher: Arc<Batcher>,
@@ -805,9 +1024,10 @@ mod imp {
         }
 
         /// Gracefully stops the server: accepting stops, queued rows are
-        /// answered `DRAINING`, in-flight rows finish and their reply
-        /// frames are flushed best-effort before sockets close. Returns
-        /// the final `stat` lines.
+        /// answered `DRAINING`, in-flight rows finish (or are answered
+        /// degraded at their reply timeout) and their reply frames are
+        /// flushed best-effort before sockets close. Returns the final
+        /// `stat` lines.
         pub fn shutdown(mut self) -> Vec<String> {
             self.stop_and_join();
             self.hub.render_all()
@@ -816,6 +1036,9 @@ mod imp {
         fn stop_and_join(&mut self) {
             self.stop.store(true, Ordering::SeqCst);
             if let Some(h) = self.accept_thread.take() {
+                let _ = h.join();
+            }
+            if let Some(h) = self.sweeper_thread.take() {
                 let _ = h.join();
             }
             // Settle every queued and in-flight row *before* stopping the
@@ -857,7 +1080,7 @@ mod imp {
         registry.set_default_trig(cfg.trig);
 
         let hub = Arc::new(MetricsHub::new());
-        let injector = Arc::new(FaultInjector::new(cfg.fault_seed));
+        let injector = Arc::new(FaultInjector::new());
         let pool = Arc::new(WorkerPool::with_injector(
             cfg.workers,
             cfg.workers * 2,
@@ -882,6 +1105,8 @@ mod imp {
             hub: hub.clone(),
             batcher: batcher.clone(),
             shed: shed.clone(),
+            injector: injector.clone(),
+            enable_inject: cfg.enable_inject,
             train_status: cfg.train_status.clone(),
             deadline: cfg.deadline,
             reply_timeout: cfg.reply_timeout,
@@ -951,10 +1176,38 @@ mod imp {
             })
             .map_err(ServeError::Spawn)?;
 
+        let sweeper_thread = match cfg.sweep_interval {
+            Some(interval) => {
+                let registry = ctx.registry.clone();
+                let hub = hub.clone();
+                let stop = stop.clone();
+                Some(
+                    std::thread::Builder::new()
+                        .name("reghd-sweeper".to_string())
+                        .spawn(move || {
+                            let mut since_sweep = Duration::ZERO;
+                            let tick = Duration::from_millis(10)
+                                .min(interval.max(Duration::from_millis(1)));
+                            while !stop.load(Ordering::SeqCst) {
+                                std::thread::sleep(tick);
+                                since_sweep += tick;
+                                if since_sweep >= interval {
+                                    since_sweep = Duration::ZERO;
+                                    run_sweep(&registry, &hub);
+                                }
+                            }
+                        })
+                        .map_err(ServeError::Spawn)?,
+                )
+            }
+            None => None,
+        };
+
         Ok(NetServerHandle {
             local_addr,
             stop,
             accept_thread: Some(accept_thread),
+            sweeper_thread,
             pollers,
             hub,
             batcher,
@@ -1005,8 +1258,8 @@ mod imp {
         }
     }
 
-    /// The RGNP front-end requires the Linux epoll fast path; use the
-    /// legacy line server (`serve --proto line`) elsewhere.
+    /// Serving requires the Linux epoll poller (x86_64/aarch64); there is
+    /// no front-end on this platform.
     ///
     /// # Errors
     ///

@@ -1,6 +1,7 @@
 //! Live-socket tests for the RGNP front-end: framing robustness
 //! (fragmented reads, pipelined bursts, oversized frames), protocol
-//! semantics, and admission control.
+//! semantics, admission control, deadlines, drain, the `ADMIN` operator
+//! commands, and the background integrity sweeper.
 
 #![cfg(all(
     target_os = "linux",
@@ -8,23 +9,58 @@
 ))]
 
 use reghd_net::client::PredictReply;
-use reghd_net::frame::{self, status, FrameBuf, Step};
+use reghd_net::frame::{self, opcode, status, FrameBuf, Step};
 use reghd_net::{serve_rgnp, NetConfig, NetServerHandle, RgnpClient};
+use reghd_serve::batcher::BatcherConfig;
 use reghd_serve::bundle;
 use reghd_serve::registry::ModelRegistry;
+use reghd_serve::status::TrainStatus;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn toy_registry() -> Arc<ModelRegistry> {
-    let features: Vec<Vec<f32>> = (0..40).map(|i| vec![i as f32, (i * 2) as f32]).collect();
+/// A small trained bundle's bytes; `slope` and `seed` make distinct models.
+fn toy_bytes(slope: i32, seed: u64) -> Vec<u8> {
+    let features: Vec<Vec<f32>> = (0..40)
+        .map(|i| vec![i as f32, (i * slope) as f32])
+        .collect();
     let targets: Vec<f32> = features.iter().map(|r| r[0] + r[1]).collect();
     let ds = datasets::Dataset::new("toy", features, targets);
-    let (b, _) = bundle::train(&ds, 128, 2, 3, 11, false).unwrap();
+    let (b, _) = bundle::train(&ds, 128, 2, 3, seed, false).unwrap();
+    b.to_bytes().unwrap()
+}
+
+fn toy_registry() -> Arc<ModelRegistry> {
     let registry = Arc::new(ModelRegistry::new());
-    registry.load_bytes("toy", &b.to_bytes().unwrap()).unwrap();
+    registry.load_bytes("toy", &toy_bytes(2, 11)).unwrap();
     registry
+}
+
+fn connect(handle: &NetServerHandle) -> RgnpClient {
+    let mut c = RgnpClient::connect(&handle.local_addr().to_string()).unwrap();
+    c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    c
+}
+
+/// One full-precision predict; panics unless the reply is `OK`.
+fn ok_bits(c: &mut RgnpClient, row: &[f32]) -> u32 {
+    match c.predict("toy", row).unwrap() {
+        PredictReply::Ok(y) => y.to_bits(),
+        other => panic!("expected ok, got {other:?}"),
+    }
+}
+
+/// Sends one raw request frame and returns the single reply frame.
+fn raw_request(handle: &NetServerHandle, kind: u8, payload: &[u8]) -> frame::Frame {
+    let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut req = Vec::new();
+    frame::encode(&mut req, kind, 5, payload);
+    s.write_all(&req).unwrap();
+    let f = read_frames(&mut s, 1).remove(0);
+    assert_eq!(f.req_id, 5);
+    f
 }
 
 fn start_server(cfg_mut: impl FnOnce(&mut NetConfig)) -> (NetServerHandle, Arc<ModelRegistry>) {
@@ -86,15 +122,329 @@ fn predict_and_control_opcodes_over_loopback() {
         PredictReply::Err("non-finite feature value".to_string())
     );
     let stats = c.stats().unwrap();
-    assert!(stats.contains("server connections="), "{stats}");
+    let lines: Vec<&str> = stats.lines().collect();
+    assert!(
+        lines.iter().any(|l| l.starts_with("model toy v1 ")),
+        "{stats}"
+    );
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.starts_with("stat toy ") && l.contains("ok=1")),
+        "{stats}"
+    );
+    assert!(
+        lines.iter().any(|l| l.starts_with("server connections=")
+            && l.contains("sweeps=0")
+            && l.contains("tier=full")
+            && l.contains("connections_rejected=0")),
+        "{stats}"
+    );
     let list = c.list().unwrap();
     assert!(list.contains("model toy"), "{list}");
     assert_eq!(
         c.train_status().unwrap(),
         Err("no trainer attached".to_string())
     );
+    // An unknown opcode and a truncated predict payload are typed errors.
+    let f = raw_request(&handle, 0x63, &[]);
+    assert_eq!(f.kind, status::ERR);
+    assert_eq!(f.payload, b"unknown opcode 99");
+    let f = raw_request(&handle, opcode::PREDICT, &[3, 0, b't']);
+    assert_eq!(f.kind, status::ERR, "{f:?}");
     let final_stats = handle.shutdown();
-    assert!(!final_stats.is_empty());
+    assert!(final_stats[0].contains("ok=1"), "{final_stats:?}");
+}
+
+#[test]
+fn non_finite_rows_are_errors_and_count_as_bad_requests() {
+    let (handle, _registry) = start_server(|_| {});
+    let mut c = connect(&handle);
+    for row in [
+        [f32::NAN, 1.0],
+        [1.0, f32::INFINITY],
+        [f32::NEG_INFINITY, 0.0],
+    ] {
+        assert_eq!(
+            c.predict("toy", &row).unwrap(),
+            PredictReply::Err("non-finite feature value".to_string())
+        );
+    }
+    let err = c
+        .predict_batch("toy", &[vec![1.0, 2.0], vec![f32::NAN, 0.0]])
+        .unwrap_err();
+    assert!(err.to_string().contains("non-finite"), "{err}");
+    // The model itself is untouched — a clean row still predicts.
+    ok_bits(&mut c, &[2.0, 4.0]);
+    assert_eq!(handle.metrics().bad_requests.load(Ordering::Relaxed), 4);
+    handle.shutdown();
+}
+
+#[test]
+fn list_replies_name_sorted() {
+    let (handle, registry) = start_server(|_| {});
+    registry.load_bytes("alpha", &toy_bytes(3, 12)).unwrap();
+    let list = connect(&handle).list().unwrap();
+    let lines: Vec<&str> = list.lines().collect();
+    assert_eq!(lines.len(), 2, "{list}");
+    assert!(lines[0].starts_with("model alpha v1 "), "{list}");
+    assert!(lines[1].starts_with("model toy v1 "), "{list}");
+    handle.shutdown();
+}
+
+#[test]
+fn train_status_renders_attached_trainer() {
+    let status = Arc::new(TrainStatus::new());
+    status.record_sample(0.5);
+    status.record_drift(0);
+    let (handle, _registry) = start_server(|c| c.train_status = Some(status.clone()));
+    let mut c = connect(&handle);
+    let reply = c.train_status().unwrap().unwrap();
+    assert!(reply.starts_with("train samples=1"), "{reply}");
+    assert!(reply.contains("drift_events=1"), "{reply}");
+    status.record_checkpoint();
+    let reply = c.train_status().unwrap().unwrap();
+    assert!(reply.contains("checkpoints=1"), "{reply}");
+    handle.shutdown();
+}
+
+#[test]
+fn threaded_server_predictions_match_sequential() {
+    // The threads knob must not change a single reply bit: the parallel
+    // schedule is bit-identical to the sequential one.
+    let rows = [[3.0f32, 4.0], [10.5, -2.25]];
+    let mut replies = Vec::new();
+    for threads in [1usize, 4] {
+        let (handle, registry) = start_server(|c| c.threads = threads);
+        assert_eq!(registry.default_threads(), threads);
+        assert_eq!(
+            registry.get("toy").unwrap().bundle.model().threads(),
+            threads
+        );
+        let mut c = connect(&handle);
+        let got: Vec<u32> = rows.iter().map(|r| ok_bits(&mut c, r)).collect();
+        replies.push(got);
+        handle.shutdown();
+    }
+    assert_eq!(replies[0], replies[1]);
+}
+
+#[test]
+fn fast_trig_server_predictions_stay_close_to_exact() {
+    // Fast trig may move replies, but only within the fast-trig error
+    // envelope: finite and numerically close to the exact answers.
+    let rows = [[3.0f32, 4.0], [10.5, -2.25]];
+    let mut replies: Vec<Vec<f32>> = Vec::new();
+    for trig in [hdc::TrigMode::Exact, hdc::TrigMode::Fast] {
+        let (handle, registry) = start_server(|c| c.trig = trig);
+        assert_eq!(registry.default_trig(), trig);
+        assert_eq!(
+            registry.get("toy").unwrap().bundle.trig_mode(),
+            trig,
+            "startup must push the trig knob into loaded models"
+        );
+        let mut c = connect(&handle);
+        replies.push(
+            rows.iter()
+                .map(|r| f32::from_bits(ok_bits(&mut c, r)))
+                .collect(),
+        );
+        handle.shutdown();
+    }
+    for (e, f) in replies[0].iter().zip(&replies[1]) {
+        assert!(f.is_finite());
+        assert!(
+            (e - f).abs() <= 0.05 * (1.0 + e.abs()),
+            "exact={e} fast={f}"
+        );
+    }
+}
+
+#[test]
+fn zero_deadline_expires_rows_pre_compute_and_degrades() {
+    let (handle, _registry) = start_server(|c| c.deadline = Some(Duration::ZERO));
+    let mut c = connect(&handle);
+    match c.predict("toy", &[3.0, 4.0]).unwrap() {
+        PredictReply::Degraded(y) => assert!(y.is_finite()),
+        other => panic!("expected degraded, got {other:?}"),
+    }
+    let m = handle.metrics().for_model("toy");
+    assert_eq!(m.expired.load(Ordering::Relaxed), 1);
+    assert_eq!(
+        m.ok.load(Ordering::Relaxed),
+        0,
+        "an expired row must never reach the full-precision path"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn overload_replies_busy_and_drain_replies_draining() {
+    // One worker pinned on a slow batch, a 2-row queue, and a long
+    // coalescing window: rows 2–3 wait in the queue, row 4 is refused
+    // with BUSY, and shutdown answers the queued rows DRAINING.
+    let (handle, _registry) = start_server(|c| {
+        c.workers = 1;
+        c.batcher = BatcherConfig {
+            max_batch: 32,
+            max_wait: Duration::from_secs(5),
+            queue_cap: 2,
+        };
+    });
+    handle
+        .injector()
+        .set_worker_delay(Duration::from_millis(1500));
+    let addr = handle.local_addr().to_string();
+    let client = |row: [f32; 2]| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = RgnpClient::connect(&addr).unwrap();
+            c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+            c.predict("toy", &row).unwrap()
+        })
+    };
+    let c1 = client([1.0, 2.0]);
+    std::thread::sleep(Duration::from_millis(200));
+    let c2 = client([3.0, 4.0]);
+    let c3 = client([5.0, 6.0]);
+    std::thread::sleep(Duration::from_millis(200));
+
+    // Queue full (rows 2–3): explicit admission-control refusal.
+    assert_eq!(
+        connect(&handle).predict("toy", &[7.0, 8.0]).unwrap(),
+        PredictReply::Busy
+    );
+
+    let hub = handle.metrics();
+    handle.shutdown();
+    let r1 = c1.join().unwrap();
+    assert!(matches!(r1, PredictReply::Ok(_)), "{r1:?}");
+    assert_eq!(c2.join().unwrap(), PredictReply::Draining);
+    assert_eq!(c3.join().unwrap(), PredictReply::Draining);
+    let m = hub.for_model("toy");
+    assert_eq!(m.shed.load(Ordering::Relaxed), 1);
+    assert_eq!(
+        m.stopped.load(Ordering::Relaxed),
+        2,
+        "queued rows answered at drain must count as stopped, not shed"
+    );
+}
+
+#[test]
+fn background_sweeper_rolls_back_injected_faults() {
+    let (handle, registry) = start_server(|c| c.sweep_interval = Some(Duration::from_millis(25)));
+    let mut c = connect(&handle);
+    let clean = ok_bits(&mut c, &[3.0, 4.0]);
+    registry.inject_model_faults("toy", 0.3, 5).unwrap();
+    let hub = handle.metrics();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while hub.rollbacks.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        hub.rollbacks.load(Ordering::Relaxed) >= 1,
+        "sweeper must roll the injected fault back"
+    );
+    assert!(hub.sweeps.load(Ordering::Relaxed) >= 1);
+    assert_eq!(
+        ok_bits(&mut c, &[3.0, 4.0]),
+        clean,
+        "rollback must be bit-exact"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn admin_sweep_and_reload_and_inject_is_gated() {
+    let (handle, _registry) = start_server(|_| {});
+    let mut c = connect(&handle);
+    assert_eq!(
+        c.admin("sweep").unwrap(),
+        Ok("swept checked=1 corrupted=0 rolled_back=0".to_string())
+    );
+    // inject is refused unless explicitly enabled.
+    assert_eq!(
+        c.admin("inject delay 10").unwrap(),
+        Err("inject disabled".to_string())
+    );
+    // Malformed commands are typed errors and count as bad requests.
+    assert_eq!(
+        c.admin("reload toy").unwrap(),
+        Err("usage: reload <model> <path>".to_string())
+    );
+    assert_eq!(
+        c.admin("frobnicate").unwrap(),
+        Err("unknown admin command frobnicate".to_string())
+    );
+    let f = raw_request(&handle, opcode::ADMIN, &[0xff, 0xfe]);
+    assert_eq!(f.kind, status::ERR);
+    assert_eq!(handle.metrics().bad_requests.load(Ordering::Relaxed), 3);
+
+    // A reload from a missing file is refused; the old version serves on.
+    let before = ok_bits(&mut c, &[3.0, 4.0]);
+    let missing = std::env::temp_dir().join(format!("reghd-admin-missing-{}", std::process::id()));
+    let reply = c
+        .admin(&format!("reload toy {}", missing.display()))
+        .unwrap();
+    assert!(reply.is_err(), "{reply:?}");
+    assert_eq!(ok_bits(&mut c, &[3.0, 4.0]), before);
+    assert!(c.list().unwrap().starts_with("model toy v1 "));
+
+    // A clean reload swaps in v2.
+    let path = std::env::temp_dir().join(format!("reghd-admin-v2-{}.rghd", std::process::id()));
+    std::fs::write(&path, toy_bytes(3, 12)).unwrap();
+    assert_eq!(
+        c.admin(&format!("reload toy {}", path.display())).unwrap(),
+        Ok("reloaded toy v2".to_string())
+    );
+    assert!(c.list().unwrap().starts_with("model toy v2 "));
+    let _ = std::fs::remove_file(&path);
+    handle.shutdown();
+}
+
+#[test]
+fn admin_inject_bitflip_then_sweep_recovers_bit_exact() {
+    let (handle, _registry) = start_server(|c| c.enable_inject = true);
+    let mut c = connect(&handle);
+    let clean = ok_bits(&mut c, &[3.0, 4.0]);
+    let reply = c.admin("inject bitflip toy 0.3 7").unwrap().unwrap();
+    assert!(reply.starts_with("injected flips="), "{reply}");
+    assert_ne!(
+        ok_bits(&mut c, &[3.0, 4.0]),
+        clean,
+        "bit flips must perturb the prediction"
+    );
+    assert_eq!(
+        c.admin("sweep").unwrap(),
+        Ok("swept checked=1 corrupted=1 rolled_back=1".to_string())
+    );
+    assert_eq!(
+        ok_bits(&mut c, &[3.0, 4.0]),
+        clean,
+        "rollback must be bit-exact"
+    );
+
+    // The server checks every argument itself.
+    assert_eq!(
+        c.admin("inject bitflip toy 1.5 7").unwrap(),
+        Err("rate must be in [0,1]".to_string())
+    );
+    assert_eq!(
+        c.admin("inject bitflip ghost 0.1 7").unwrap(),
+        Err("unknown model ghost".to_string())
+    );
+    for bad in ["inject meteor", "inject delay soon", "inject kill"] {
+        let err = c.admin(bad).unwrap().unwrap_err();
+        assert!(err.starts_with("usage: inject"), "{bad}: {err}");
+    }
+    assert_eq!(c.admin("inject delay 5").unwrap(), Ok(String::new()));
+    assert_eq!(
+        handle.injector().worker_delay(),
+        Some(Duration::from_millis(5))
+    );
+    assert_eq!(c.admin("inject clear").unwrap(), Ok(String::new()));
+    assert!(!handle.injector().any_armed());
+    handle.shutdown();
 }
 
 #[test]
@@ -230,6 +580,19 @@ fn connection_cap_rejects_with_busy_frame() {
     );
     // The accepted connection still works.
     first.ping().unwrap();
+
+    // Closing the admitted connection frees the slot again.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let mut c = RgnpClient::connect(&addr).unwrap();
+        c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+        if c.ping().is_ok() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "slot must free after close");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     handle.shutdown();
 }
 
@@ -241,13 +604,23 @@ fn corrupt_flagged_model_answers_degraded_inline() {
         .unwrap()
         .corrupt
         .store(true, std::sync::atomic::Ordering::Relaxed);
-    let mut c = RgnpClient::connect(&handle.local_addr().to_string()).unwrap();
-    c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    let expect = registry
+        .get("toy")
+        .unwrap()
+        .bundle
+        .predict_binary(&[vec![3.0, 4.0]])
+        .unwrap()[0];
+    let mut c = connect(&handle);
     match c.predict("toy", &[3.0, 4.0]).unwrap() {
-        PredictReply::Degraded(y) => assert!(y.is_finite()),
+        PredictReply::Degraded(y) => assert_eq!(
+            y.to_bits(),
+            expect.to_bits(),
+            "degraded reply must match predict_binary bit-for-bit"
+        ),
         other => panic!("expected degraded, got {other:?}"),
     }
-    handle.shutdown();
+    let stats = handle.shutdown();
+    assert!(stats[0].contains("degraded=1"), "{stats:?}");
 }
 
 #[test]

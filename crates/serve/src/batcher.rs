@@ -304,9 +304,9 @@ impl Batcher {
     /// are refused as [`EnqueueResult::Stopping`], and the dispatcher
     /// answers everything still queued with an explicit
     /// [`WorkError::Draining`] reply (batches already at the pool
-    /// complete normally). The server calls this *before* joining its
-    /// connection threads so waiting clients receive `draining` lines
-    /// instead of dropped connections.
+    /// complete normally). The server calls this *before* stopping its
+    /// pollers so waiting clients receive `DRAINING` replies instead of
+    /// dropped connections.
     pub fn begin_drain(&self) {
         lock_unpoisoned(&self.shared.queue).stop = true;
         self.shared.cond.notify_all();
@@ -691,7 +691,7 @@ mod tests {
         // must see a mean batch size of at least `max_batch / 2`.
         let model = served(9);
         let metrics = Arc::new(ModelMetrics::default());
-        let inj = Arc::new(crate::faults::FaultInjector::new(9));
+        let inj = Arc::new(crate::faults::FaultInjector::new());
         let pool = Arc::new(WorkerPool::with_injector(1, 1, inj.clone()).unwrap());
         inj.set_worker_delay(Duration::from_millis(10));
         let max_batch = 8usize;

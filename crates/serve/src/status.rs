@@ -6,7 +6,7 @@
 //! registry, so the status type the server renders lives *here*. The
 //! trainer updates a [`TrainStatus`] through `Arc`-shared atomics as it
 //! consumes samples; the server exposes the latest snapshot through the
-//! `train-status` protocol command. All counters are monotone and
+//! `TRAIN_STATUS` opcode. All counters are monotone and
 //! individually atomic — a reader may observe a momentarily inconsistent
 //! combination (e.g. a drift counted before the matching checkpoint), which
 //! is fine for an observability surface.
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Live counters describing an attached streaming trainer.
 ///
 /// Constructed by the trainer, shared with the server via
-/// [`crate::server::ServerConfig::train_status`].
+/// `reghd_net::NetConfig::train_status`.
 #[derive(Debug, Default)]
 pub struct TrainStatus {
     samples: AtomicU64,

@@ -303,8 +303,8 @@ impl Trainer {
     }
 
     /// The shared status block (hand a clone to
-    /// `reghd_serve::ServerConfig::train_status` to expose it over the
-    /// protocol).
+    /// `reghd_net::NetConfig::train_status` to expose it through the
+    /// `TRAIN_STATUS` opcode).
     pub fn status(&self) -> Arc<TrainStatus> {
         self.status.clone()
     }
