@@ -1,7 +1,8 @@
 //! Serving-path throughput: the same trained model (dim 2048, k = 8)
 //! driven three ways — a single thread calling the model directly, the
-//! `reghd-serve` worker pool with one row per dispatch, and the worker
-//! pool fed through the micro-batcher. Reports rows/sec for each and
+//! `reghd-serve` worker pool with one pre-formed batch per row, and rows
+//! admitted through the batcher, which the workers coalesce into batches
+//! of up to 32 while every worker is busy. Reports rows/sec for each and
 //! writes a JSON summary to `results/serve.json`.
 //!
 //! Plain `main` harness (no criterion): the subject here is end-to-end
@@ -17,7 +18,7 @@ use reghd_serve::registry::{ModelRegistry, ServedModel};
 use reghd_serve::worker::{Batch, WorkItem, WorkerPool};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const DIM: usize = 2048;
 const K: usize = 8;
@@ -87,19 +88,19 @@ fn bench_worker_pool(model: &Arc<ServedModel>, rows: &[Vec<f32>]) -> f64 {
     rows.len() as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Worker pool fed through the micro-batcher (coalesces under load).
+/// Rows admitted through the batcher: workers take up to `max_batch` queued
+/// rows at once, so a burst coalesces.
 fn bench_micro_batched(model: &Arc<ServedModel>, rows: &[Vec<f32>], max_batch: usize) -> f64 {
     let pool = Arc::new(WorkerPool::new(WORKERS, WORKERS * 4).expect("spawn workers"));
     let metrics = Arc::new(ModelMetrics::default());
     let batcher = Batcher::new(
         BatcherConfig {
             max_batch,
-            max_wait: Duration::from_micros(200),
             queue_cap: ROWS + 1,
         },
         pool,
     )
-    .expect("spawn dispatcher");
+    .expect("batcher");
     let start = Instant::now();
     let mut rxs = Vec::with_capacity(rows.len());
     for row in rows {

@@ -12,8 +12,8 @@
 //! reghd-cli eval    --csv data.csv --model model.rghd [--trig exact|fast]
 //! reghd-cli predict --csv data.csv --model model.rghd [--trig exact|fast]
 //! reghd-cli serve   --model model.rghd --addr 127.0.0.1:7878
-//!                   [--name NAME] [--workers N] [--threads N]
-//!                   [--trig exact|fast] [--max-batch N] [--max-wait-us N]
+//!                   [--name NAME] [--workers N]
+//!                   [--trig exact|fast] [--max-batch N]
 //!                   [--queue-cap N] [--max-conns N] [--deadline-us N]
 //!                   [--shed-p95-us N] [--pollers N] [--max-frame N]
 //!                   [--write-budget N] [--canary] [--chaos]
@@ -37,9 +37,11 @@
 //! `tcp:<host>:<port>:<features>` (newline-delimited feed, one CSV row per
 //! line, target last).
 //!
-//! `--threads N` sets row-parallelism for batch encoding/prediction
-//! (`0`, the default, uses all available cores; `1` is sequential).
-//! Chunked rows keep outputs **bit-identical** at every setting.
+//! `--threads N` (`train`) sets row-parallelism for batch
+//! encoding/prediction (`0`, the default, uses all available cores; `1` is
+//! sequential). Chunked rows keep outputs **bit-identical** at every
+//! setting. `serve` has no such knob: its worker pool already runs batches
+//! in parallel, so served models predict single-threaded.
 //!
 //! `--trig fast` (eval/predict/serve) swaps the encoder's `sin`/`cos` for a
 //! range-reduced polynomial approximation with a documented error bound
@@ -75,9 +77,9 @@ fn usage() -> ! {
          reghd-cli predict --csv <data.csv> --model <model.rghd> [--trig exact|fast] \
          [--tier full|binary] [--simd auto|avx2|neon|scalar]\n  \
          reghd-cli serve   [--model <model.rghd>] [--store DIR] [--name NAME] [--addr HOST:PORT] \
-         [--workers N] [--threads N] [--trig exact|fast] \
+         [--workers N] [--trig exact|fast] \
          [--simd auto|avx2|neon|scalar] [--max-batch N] \
-         [--max-wait-us N] [--queue-cap N] [--max-conns N] [--deadline-us N] [--shed-p95-us N] \
+         [--queue-cap N] [--max-conns N] [--deadline-us N] [--shed-p95-us N] \
          [--pollers N] [--max-frame N] [--write-budget N] \
          [--canary] [--chaos] [--sweep-interval-ms N]\n  \
          reghd-cli loadgen --addr <HOST:PORT> --model NAME [--row f32,f32,...] \
@@ -411,8 +413,9 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
     }
 
     let registry = Arc::new(ModelRegistry::new());
-    // Published checkpoints (and any model served from --serve-addr)
-    // predict on the same thread count as the trainer's canary path.
+    // Published checkpoints predict on the same thread count as the
+    // trainer's canary path — unless --serve-addr serves them, which pins
+    // served models to one thread.
     registry.set_default_threads(threads);
     if let Some(name) = args.get("publish-to") {
         trainer = trainer.with_publish(PublishTarget {
@@ -425,7 +428,6 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
             let handle = serve_rgnp(
                 NetConfig {
                     addr: addr.to_string(),
-                    threads,
                     train_status: Some(trainer.status()),
                     ..NetConfig::default()
                 },
@@ -628,11 +630,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let name = args.get("name").unwrap_or(&default_name).to_string();
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let workers: usize = args.parse_num("workers", 4);
-    let threads: usize = args.parse_num("threads", 0);
     let trig = parse_trig(args)?;
     apply_simd(args)?;
     let max_batch: usize = args.parse_num("max-batch", 32);
-    let max_wait_us: u64 = args.parse_num("max-wait-us", 500);
     let queue_cap: usize = args.parse_num("queue-cap", BatcherConfig::default().queue_cap);
     // Overload knobs: 0 means "off" for the connection cap and the
     // deadline; --shed-p95-us 0 disables the adaptive shed controller
@@ -680,7 +680,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let batcher = BatcherConfig {
         max_batch,
-        max_wait: Duration::from_micros(max_wait_us),
         queue_cap,
     };
     let shed = (shed_p95_us > 0).then(|| ShedConfig {
@@ -691,16 +690,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         ..ShedConfig::default()
     });
     let deadline = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
-    let threads_label = if threads == 0 {
-        "auto".to_string()
-    } else {
-        threads.to_string()
-    };
     let cfg = NetConfig {
         addr,
         pollers: args.parse_num("pollers", 0),
         workers,
-        threads,
         trig,
         batcher,
         max_connections: max_conns,
@@ -714,8 +707,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     let handle = serve_rgnp(cfg, registry).map_err(|e| e.to_string())?;
     println!(
-        "serving RGNP on {} with {workers} workers (threads={threads_label}, \
-         max_batch={max_batch}, max_wait={max_wait_us}µs)",
+        "serving RGNP on {} with {workers} workers (max_batch={max_batch}, \
+         queue_cap={queue_cap})",
         handle.local_addr(),
     );
     if chaos {

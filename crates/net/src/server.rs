@@ -9,11 +9,19 @@
 //!   private epoll set, a slab of connections, and a [`sys::WakePipe`].
 //!   Pollers parse frames, answer cheap requests inline (stats, list,
 //!   ping, admin commands, degraded-tier predictions), and enqueue
-//!   full-precision rows into the shared [`Batcher`].
-//! * **Workers** complete rows through a [`ReplySink::from_fn`] callback
-//!   that pushes the result into the owning poller's inbox and wakes it —
-//!   the poller turns completions into reply frames on its own thread, so
-//!   no worker ever blocks on a slow client socket.
+//!   full-precision rows into the shared [`Batcher`]'s queue.
+//! * **Workers** take rows straight from that queue (there is no thread in
+//!   between) and complete them through a [`ReplySink::from_fn`] callback
+//!   that pushes the result into the owning poller's inbox — the poller
+//!   turns completions into reply frames on its own thread, so no worker
+//!   ever blocks on a slow client socket. Wakes are coalesced: a push
+//!   writes the poller's wake pipe only if it sets the poller's
+//!   `wake_pending` flag, so a batch of completions costs one pipe write,
+//!   and the poller reads the pipe only when its wake event fired.
+//!
+//! Served models predict single-threaded: the worker pool already runs
+//! batches in parallel, and row-parallel threads inside each model call
+//! would compete with it for the same cores.
 //!
 //! Backpressure is per-connection: a connection whose write buffer exceeds
 //! [`NetConfig::write_budget`] stops being read (its requests back up into
@@ -50,16 +58,11 @@ pub struct NetConfig {
     pub pollers: usize,
     /// Worker threads running model predictions.
     pub workers: usize,
-    /// Row-parallelism inside each model call: prediction batches are split
-    /// across this many scoped threads with per-row arithmetic unchanged
-    /// (bit-identical results). `0` means "use available parallelism";
-    /// `1` is sequential. Applied to every model in the registry at startup
-    /// and inherited by later loads and reloads.
-    pub threads: usize,
     /// Trigonometry mode for encoding ([`hdc::TrigMode::Exact`] by
     /// default). `Fast` trades a documented error bound
     /// ([`hdc::kernels::FAST_TRIG_MAX_ABS_ERROR`]) for throughput. Applied
-    /// like `threads`; canary replays always force `Exact`.
+    /// to every model in the registry at startup and inherited by later
+    /// loads and reloads; canary replays always force `Exact`.
     pub trig: hdc::TrigMode,
     /// Micro-batching knobs.
     pub batcher: BatcherConfig,
@@ -100,7 +103,6 @@ impl Default for NetConfig {
             addr: "127.0.0.1:7979".to_string(),
             pollers: 0,
             workers: 4,
-            threads: 1,
             trig: hdc::TrigMode::Exact,
             batcher: BatcherConfig::default(),
             idle_timeout: Duration::from_secs(30),
@@ -157,10 +159,45 @@ mod imp {
         completions: Vec<Completion>,
     }
 
+    /// A poller's inbox plus the flag that coalesces its wakeups.
+    ///
+    /// `wake_pending` is true from the push that asked for a wake until the
+    /// poller takes the inbox. The poller must drain its wake pipe *before*
+    /// [`Mailbox::take`]: a push that lands after the take then sees the
+    /// flag clear and writes the pipe again, so no item waits for the
+    /// poller's periodic tick.
+    #[derive(Default)]
+    struct Mailbox {
+        inbox: Mutex<Inbox>,
+        wake_pending: AtomicBool,
+    }
+
+    impl Mailbox {
+        /// Queues a completion. Returns whether the caller must wake the
+        /// poller (no wake is pending yet).
+        fn push_completion(&self, c: Completion) -> bool {
+            lock_unpoisoned(&self.inbox).completions.push(c);
+            !self.wake_pending.swap(true, Ordering::AcqRel)
+        }
+
+        /// Queues an accepted connection; returns like
+        /// [`Mailbox::push_completion`].
+        fn push_conn(&self, stream: TcpStream) -> bool {
+            lock_unpoisoned(&self.inbox).conns.push(stream);
+            !self.wake_pending.swap(true, Ordering::AcqRel)
+        }
+
+        /// Clears the wake flag, then takes everything queued.
+        fn take(&self) -> Inbox {
+            self.wake_pending.store(false, Ordering::SeqCst);
+            std::mem::take(&mut *lock_unpoisoned(&self.inbox))
+        }
+    }
+
     /// The cross-thread face of one poller.
     pub(super) struct PollerShared {
         stop: AtomicBool,
-        inbox: Mutex<Inbox>,
+        mailbox: Mailbox,
         wake: WakePipe,
     }
 
@@ -505,15 +542,15 @@ mod imp {
         let now = Instant::now();
         let cb_shared = shared.clone();
         let sink = ReplySink::from_fn(move |result| {
-            lock_unpoisoned(&cb_shared.inbox)
-                .completions
-                .push(Completion {
-                    token,
-                    req_id,
-                    slot,
-                    result,
-                });
-            cb_shared.wake.wake();
+            let completion = Completion {
+                token,
+                req_id,
+                slot,
+                result,
+            };
+            if cb_shared.mailbox.push_completion(completion) {
+                cb_shared.wake.wake();
+            }
         });
         let item = WorkItem {
             row,
@@ -764,7 +801,8 @@ mod imp {
         }
     }
 
-    /// Applies queued completions and registers newly accepted sockets.
+    /// Drains the wake pipe, then applies queued completions and registers
+    /// newly accepted sockets (the order [`Mailbox`] requires).
     fn process_inbox(
         ctx: &NetCtx,
         shared: &Arc<PollerShared>,
@@ -777,7 +815,7 @@ mod imp {
         let Inbox {
             conns: new_conns,
             completions,
-        } = std::mem::take(&mut *lock_unpoisoned(&shared.inbox));
+        } = shared.mailbox.take();
         for stream in new_conns {
             let token = *next_token;
             *next_token += 1;
@@ -917,17 +955,19 @@ mod imp {
             };
             let now = Instant::now();
             touched.clear();
-            process_inbox(
-                &ctx,
-                &shared,
-                &epoll,
-                &mut conns,
-                &mut next_token,
-                &mut touched,
-            );
+            if events.iter().any(|e| e.0 == WAKE_TOKEN) {
+                process_inbox(
+                    &ctx,
+                    &shared,
+                    &epoll,
+                    &mut conns,
+                    &mut next_token,
+                    &mut touched,
+                );
+            }
             for (token, readable, writable, closed) in events {
                 if token == WAKE_TOKEN {
-                    continue; // inbox already drained above
+                    continue; // inbox already processed above
                 }
                 if !conns.contains_key(&token) {
                     continue;
@@ -1045,7 +1085,6 @@ mod imp {
             // pollers, so the resulting completions still reach client
             // sockets as DRAINING / OK frames.
             self.batcher.begin_drain();
-            self.batcher.shutdown();
             for (shared, handle) in &mut self.pollers {
                 shared.stop.store(true, Ordering::SeqCst);
                 shared.wake.wake();
@@ -1076,7 +1115,9 @@ mod imp {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        registry.set_default_threads(cfg.threads);
+        // The pool parallelises across batches; row-parallel threads inside
+        // each model call would only compete with it for the same cores.
+        registry.set_default_threads(1);
         registry.set_default_trig(cfg.trig);
 
         let hub = Arc::new(MetricsHub::new());
@@ -1120,7 +1161,7 @@ mod imp {
         for i in 0..pollers_n {
             let shared = Arc::new(PollerShared {
                 stop: AtomicBool::new(false),
-                inbox: Mutex::new(Inbox::default()),
+                mailbox: Mailbox::default(),
                 wake: WakePipe::new()?,
             });
             let ctx = ctx.clone();
@@ -1164,8 +1205,9 @@ mod imp {
                             accept_active.fetch_add(1, Ordering::SeqCst);
                             let shard = &accept_shared[next % accept_shared.len()];
                             next += 1;
-                            lock_unpoisoned(&shard.inbox).conns.push(stream);
-                            shard.wake.wake();
+                            if shard.mailbox.push_conn(stream) {
+                                shard.wake.wake();
+                            }
                         }
                         Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(5));
@@ -1214,6 +1256,46 @@ mod imp {
             shed,
             injector,
         })
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn completion(slot: u32) -> Completion {
+            Completion {
+                token: 1,
+                req_id: 7,
+                slot,
+                result: Ok(slot as f32),
+            }
+        }
+
+        fn slots(inbox: &Inbox) -> Vec<u32> {
+            inbox.completions.iter().map(|c| c.slot).collect()
+        }
+
+        #[test]
+        fn mailbox_asks_for_one_wake_per_take() {
+            let mb = Mailbox::default();
+            assert!(mb.push_completion(completion(0)), "first push must wake");
+            for slot in 1..4 {
+                assert!(
+                    !mb.push_completion(completion(slot)),
+                    "a wake is already pending before the take"
+                );
+            }
+            assert_eq!(slots(&mb.take()), vec![0, 1, 2, 3]);
+            assert!(
+                mb.push_completion(completion(4)),
+                "the first push after a take must wake again"
+            );
+            assert!(!mb.push_completion(completion(5)));
+            assert_eq!(slots(&mb.take()), vec![4, 5]);
+            // An empty take still re-arms the flag.
+            assert!(mb.take().completions.is_empty());
+            assert!(mb.push_completion(completion(6)));
+        }
     }
 }
 

@@ -209,27 +209,6 @@ fn train_status_renders_attached_trainer() {
 }
 
 #[test]
-fn threaded_server_predictions_match_sequential() {
-    // The threads knob must not change a single reply bit: the parallel
-    // schedule is bit-identical to the sequential one.
-    let rows = [[3.0f32, 4.0], [10.5, -2.25]];
-    let mut replies = Vec::new();
-    for threads in [1usize, 4] {
-        let (handle, registry) = start_server(|c| c.threads = threads);
-        assert_eq!(registry.default_threads(), threads);
-        assert_eq!(
-            registry.get("toy").unwrap().bundle.model().threads(),
-            threads
-        );
-        let mut c = connect(&handle);
-        let got: Vec<u32> = rows.iter().map(|r| ok_bits(&mut c, r)).collect();
-        replies.push(got);
-        handle.shutdown();
-    }
-    assert_eq!(replies[0], replies[1]);
-}
-
-#[test]
 fn fast_trig_server_predictions_stay_close_to_exact() {
     // Fast trig may move replies, but only within the fast-trig error
     // envelope: finite and numerically close to the exact answers.
@@ -280,14 +259,13 @@ fn zero_deadline_expires_rows_pre_compute_and_degrades() {
 
 #[test]
 fn overload_replies_busy_and_drain_replies_draining() {
-    // One worker pinned on a slow batch, a 2-row queue, and a long
-    // coalescing window: rows 2–3 wait in the queue, row 4 is refused
-    // with BUSY, and shutdown answers the queued rows DRAINING.
+    // One worker pinned on a slow batch and a 2-row queue: rows 2–3 wait
+    // in the queue, row 4 is refused with BUSY, and shutdown answers the
+    // queued rows DRAINING.
     let (handle, _registry) = start_server(|c| {
         c.workers = 1;
         c.batcher = BatcherConfig {
             max_batch: 32,
-            max_wait: Duration::from_secs(5),
             queue_cap: 2,
         };
     });
@@ -647,5 +625,146 @@ fn requested_binary_tier_answers_degraded_with_binary_value() {
         PredictReply::Ok(y) => assert!(y.is_finite()),
         other => panic!("expected ok, got {other:?}"),
     }
+    handle.shutdown();
+}
+
+#[test]
+fn running_server_threads_are_pollers_workers_accept_and_sweeper_only() {
+    // Workers take rows straight from the admission queue: no relay thread
+    // sits between pollers and workers. Thread names are read from
+    // /proc (truncated to 15 bytes by the kernel); other tests' servers in
+    // this process carry the same names.
+    let (handle, _registry) = start_server(|c| c.sweep_interval = Some(Duration::from_secs(60)));
+    let mut c = connect(&handle);
+    ok_bits(&mut c, &[3.0, 4.0]);
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .filter(|name| name.starts_with("reghd-"))
+        .collect();
+    for prefix in [
+        "reghd-worker-",
+        "reghd-poller-",
+        "reghd-rgnp-acc",
+        "reghd-sweeper",
+    ] {
+        assert!(
+            names.iter().any(|n| n.starts_with(prefix)),
+            "no {prefix}* thread in {names:?}"
+        );
+    }
+    let allowed = [
+        "reghd-worker-",
+        "reghd-poller-",
+        "reghd-rgnp-acc",
+        "reghd-sweeper",
+    ];
+    for name in &names {
+        assert!(
+            allowed.iter().any(|p| name.starts_with(p)),
+            "unexpected server thread {name} in {names:?}"
+        );
+    }
+    handle.shutdown();
+}
+
+/// Polls `STATS` until its `server` line contains `want`.
+fn wait_for_server_stat(c: &mut RgnpClient, want: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = c.stats().unwrap();
+        let server = stats
+            .lines()
+            .find(|l| l.starts_with("server "))
+            .unwrap_or_default()
+            .to_string();
+        if server.contains(want) {
+            return server;
+        }
+        assert!(Instant::now() < deadline, "never saw {want}: {server}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn backlog_demotes_to_the_binary_tier_and_recovery_promotes() {
+    // One worker stalled 100ms per batch and a 64-row frame: every take
+    // of 8 rows leaves a backlog, so the real queue waits demote. While
+    // demoted, non-probe requests are answered inline on the binary tier.
+    // Once the backlog is gone, probes meet an empty queue and promote.
+    let (handle, registry) = start_server(|c| {
+        c.workers = 1;
+        c.batcher = BatcherConfig {
+            max_batch: 8,
+            queue_cap: 1024,
+        };
+        c.shed = Some(reghd_serve::shed::ShedConfig {
+            demote_p95: Duration::from_millis(20),
+            promote_p95: Duration::from_millis(10),
+            window: 8,
+        });
+    });
+    let served = registry.get("toy").unwrap();
+    let full = |row: &[f32]| served.bundle.predict(&[row.to_vec()]).unwrap()[0].to_bits();
+    let binary = |row: &[f32]| served.bundle.predict_binary(&[row.to_vec()]).unwrap()[0].to_bits();
+    handle
+        .injector()
+        .set_worker_delay(Duration::from_millis(100));
+    let mut ctl = connect(&handle);
+
+    let backlog_rows: Vec<Vec<f32>> = (0..64).map(|i| vec![i as f32, 1.0]).collect();
+    let mut backlog = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut req = Vec::new();
+    frame::encode_predict_batch(&mut req, 1, "toy", &backlog_rows);
+    backlog.write_all(&req).unwrap();
+    wait_for_server_stat(&mut ctl, "tier=degraded");
+
+    // Pipelined singles while demoted: one in 16 is a full-tier probe
+    // queued behind the backlog, the rest answer DEGRADED at once.
+    let rows: Vec<Vec<f32>> = (0..32).map(|i| vec![0.5 * i as f32, 2.0]).collect();
+    let mut burst = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut req = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        frame::encode_predict(&mut req, 100 + i as u64, "toy", row);
+    }
+    burst.write_all(&req).unwrap();
+    let mut probes = 0;
+    for f in read_frames(&mut burst, rows.len()) {
+        let row = &rows[(f.req_id - 100) as usize];
+        let bits = frame::decode_value_reply(&f.payload).unwrap().to_bits();
+        match f.kind {
+            status::DEGRADED => assert_eq!(bits, binary(row), "degraded reply for {row:?}"),
+            status::OK => {
+                assert_eq!(bits, full(row), "probe reply for {row:?}");
+                probes += 1;
+            }
+            other => panic!("unexpected status {other} for {row:?}"),
+        }
+    }
+    assert_eq!(probes, 2, "exactly one request in 16 probes the full tier");
+
+    // The backlog itself was admitted before the demotion: all full tier.
+    let reply = read_frames(&mut backlog, 1).remove(0);
+    assert_eq!(reply.kind, status::OK);
+    let answers = frame::decode_batch_reply(&reply.payload).unwrap();
+    for (row, (st, y)) in backlog_rows.iter().zip(answers) {
+        assert_eq!((st, y.to_bits()), (status::OK, full(row)));
+    }
+
+    // Backlog drained: probes now wait for nobody, and zeros promote.
+    handle.injector().clear();
+    for i in 0..1_000 {
+        if !handle.shed().unwrap().is_degraded() {
+            break;
+        }
+        ctl.predict("toy", &[i as f32, 3.0]).unwrap();
+    }
+    let server = wait_for_server_stat(&mut ctl, "tier=full");
+    assert!(server.contains("demotions=1 promotions=1"), "{server}");
+    assert_eq!(
+        ctl.predict("toy", &[3.0, 4.0]).unwrap(),
+        PredictReply::Ok(f32::from_bits(full(&[3.0, 4.0])))
+    );
     handle.shutdown();
 }

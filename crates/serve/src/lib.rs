@@ -2,10 +2,12 @@
 //!
 //! The serving subsystem: a [`registry::ModelRegistry`] of hot-swappable
 //! named models loaded from `.rghd` bundles, a [`batcher::Batcher`] that
-//! micro-batches incoming rows, a fixed [`worker::WorkerPool`] executing
-//! batched predictions, an adaptive [`shed`] controller, seeded
-//! [`faults`], and lock-free [`metrics`]. The network front-end that puts
-//! this engine on a socket is the RGNP server in `reghd-net`.
+//! admits rows into the queue of a fixed [`worker::WorkerPool`] (workers
+//! take up to `max_batch` rows at a time straight from that queue and run
+//! them as batched predictions; no thread sits in between), an adaptive
+//! [`shed`] controller, seeded [`faults`], and lock-free [`metrics`]. The
+//! network front-end that puts this engine on a socket is the RGNP server
+//! in `reghd-net`.
 //!
 //! Everything is built on `std` (threads, channels) — no external
 //! runtime. A trained [`bundle::ModelBundle`] is immutable while served,

@@ -1,19 +1,36 @@
 //! Adaptive load shedding: demote traffic to the degraded tier under
 //! sustained queue pressure, promote back on recovery.
 //!
-//! The controller watches the **queue wait** of dispatched rows (enqueue →
-//! drain, the time a request spent waiting for a worker, not the model
-//! call itself). When the p95 of a sliding window of waits crosses
-//! `demote_p95`, the server stops queueing new requests and answers them
-//! inline through the §3.2 quantised binary-query path — the paper's
-//! robustness tier repurposed as an overload response: cheap enough to
-//! absorb traffic the full-precision pipeline cannot.
+//! # The signal
+//!
+//! The controller watches the **queue wait** of rows as workers take them
+//! (enqueue → take, the time a request spent waiting for a worker, not the
+//! model call itself). A worker feeds the wait at take time, before any
+//! injected delay, and by this rule:
+//!
+//! * the take **leaves rows behind** in the queue (a backlog): each taken
+//!   row's real wait is fed;
+//! * the take **empties** the queue: each taken row is fed as zero. Such
+//!   a row waited only for a busy or stalled worker, not behind other
+//!   rows; the front-end's reply timeout already covers that case, and
+//!   the zeros keep promotion evaluating at low traffic.
+//!
+//! So only a standing backlog — arrivals outrunning the pool — moves the
+//! p95. When the p95 of a sliding window of waits crosses `demote_p95`,
+//! the server stops queueing new requests and answers them inline through
+//! the §3.2 quantised binary-query path — the paper's robustness tier
+//! repurposed as an overload response: cheap enough to absorb traffic the
+//! full-precision pipeline cannot.
 //!
 //! While demoted, every `PROBE_EVERY`-th request is still sent through the
 //! full pipeline. Those probes keep feeding wait samples, so the
 //! controller can observe recovery and promote once the probe p95 falls
 //! below `promote_p95` (a lower threshold — hysteresis, so the tier does
 //! not flap around the boundary).
+//!
+//! The window keeps two running counts, samples above each threshold, so
+//! each observation costs O(1): with `rank = ceil(0.95·n) − 1`, "p95 > T"
+//! holds exactly when at least `n − rank` samples exceed `T`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,8 +68,7 @@ impl Default for ShedConfig {
 #[derive(Debug)]
 pub struct ShedController {
     cfg: ShedConfig,
-    /// Recent queue waits in µs; bounded ring.
-    waits: Mutex<VecDeque<u64>>,
+    waits: Mutex<Window>,
     degraded: AtomicBool,
     probe_counter: AtomicU64,
     demotions: AtomicU64,
@@ -70,7 +86,7 @@ impl ShedController {
         };
         Self {
             cfg,
-            waits: Mutex::new(VecDeque::new()),
+            waits: Mutex::new(Window::default()),
             degraded: AtomicBool::new(false),
             probe_counter: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
@@ -78,39 +94,46 @@ impl ShedController {
         }
     }
 
-    /// Records one queue wait (enqueue → drain) and re-evaluates the tier.
-    /// Called by the batcher's dispatcher for every drained row, including
-    /// probes while demoted.
+    /// Records one queue wait (see the module docs for what a worker
+    /// feeds) and re-evaluates the tier. Called for every row a worker
+    /// takes, including probes while demoted.
     pub fn observe_wait(&self, wait: Duration) {
         let us = wait.as_micros().min(u128::from(u64::MAX)) as u64;
+        let demote_us = self.cfg.demote_p95.as_micros() as u64;
+        let promote_us = self.cfg.promote_p95.as_micros() as u64;
         let mut w = crate::lock_unpoisoned(&self.waits);
-        if w.len() == self.cfg.window {
-            w.pop_front();
+        if w.samples.len() == self.cfg.window {
+            if let Some(old) = w.samples.pop_front() {
+                w.above_demote -= usize::from(old > demote_us);
+                w.above_promote -= usize::from(old > promote_us);
+            }
         }
-        w.push_back(us);
+        w.samples.push_back(us);
+        w.above_demote += usize::from(us > demote_us);
+        w.above_promote += usize::from(us > promote_us);
         // Re-evaluate only on a reasonably full window: demotion is a
-        // claim about sustained pressure, not one slow drain.
-        if w.len() < self.cfg.window / 2 {
+        // claim about sustained pressure, not one slow take.
+        let n = w.samples.len();
+        if n < self.cfg.window / 2 {
             return;
         }
-        let p95 = percentile(&w, 0.95);
-        drop(w);
+        // The sorted window's p95 sample sits at `rank`; it exceeds a
+        // threshold exactly when the `n - rank` largest samples all do.
+        let rank = ((0.95 * n as f64).ceil() as usize).max(1) - 1;
+        let at_or_above_rank = n - rank.min(n - 1);
+        // The tier only changes here, under the window's lock.
         if self.degraded.load(Ordering::Relaxed) {
-            if p95 <= self.cfg.promote_p95.as_micros() as u64 {
-                if !self.degraded.swap(false, Ordering::Relaxed) {
-                    return; // raced with another promoter
-                }
+            if w.above_promote < at_or_above_rank {
+                self.degraded.store(false, Ordering::Relaxed);
                 self.promotions.fetch_add(1, Ordering::Relaxed);
                 // Waits measured under overload describe the regime we
                 // just left; start the next evaluation fresh.
-                crate::lock_unpoisoned(&self.waits).clear();
+                *w = Window::default();
             }
-        } else if p95 > self.cfg.demote_p95.as_micros() as u64 {
-            if self.degraded.swap(true, Ordering::Relaxed) {
-                return;
-            }
+        } else if w.above_demote >= at_or_above_rank {
+            self.degraded.store(true, Ordering::Relaxed);
             self.demotions.fetch_add(1, Ordering::Relaxed);
-            crate::lock_unpoisoned(&self.waits).clear();
+            *w = Window::default();
         }
     }
 
@@ -145,15 +168,13 @@ impl ShedController {
     }
 }
 
-/// p-th percentile of `samples` (unsorted ring contents), in µs.
-fn percentile(samples: &VecDeque<u64>, p: f64) -> u64 {
-    let mut v: Vec<u64> = samples.iter().copied().collect();
-    v.sort_unstable();
-    if v.is_empty() {
-        return 0;
-    }
-    let rank = ((p.clamp(0.0, 1.0) * v.len() as f64).ceil() as usize).max(1) - 1;
-    v[rank.min(v.len() - 1)]
+/// Sliding window of recent queue waits in µs, with running counts of
+/// the samples above each threshold.
+#[derive(Debug, Default)]
+struct Window {
+    samples: VecDeque<u64>,
+    above_demote: usize,
+    above_promote: usize,
 }
 
 #[cfg(test)]
@@ -250,5 +271,102 @@ mod tests {
             c.observe_wait(Duration::from_millis(50));
         }
         assert!(c.is_degraded());
+    }
+
+    /// p-th percentile of `samples` (unsorted ring contents), in µs: the
+    /// sort the running counts replaced.
+    fn percentile(samples: &VecDeque<u64>, p: f64) -> u64 {
+        let mut v: Vec<u64> = samples.iter().copied().collect();
+        v.sort_unstable();
+        if v.is_empty() {
+            return 0;
+        }
+        let rank = ((p.clamp(0.0, 1.0) * v.len() as f64).ceil() as usize).max(1) - 1;
+        v[rank.min(v.len() - 1)]
+    }
+
+    /// The sort-based controller the running counts replaced, kept as the
+    /// reference its decisions must match sample for sample.
+    struct Reference {
+        cfg: ShedConfig,
+        waits: VecDeque<u64>,
+        degraded: bool,
+        demotions: u64,
+        promotions: u64,
+    }
+
+    impl Reference {
+        fn observe(&mut self, us: u64) {
+            if self.waits.len() == self.cfg.window {
+                self.waits.pop_front();
+            }
+            self.waits.push_back(us);
+            if self.waits.len() < self.cfg.window / 2 {
+                return;
+            }
+            let p95 = percentile(&self.waits, 0.95);
+            if self.degraded {
+                if p95 <= self.cfg.promote_p95.as_micros() as u64 {
+                    self.degraded = false;
+                    self.promotions += 1;
+                    self.waits.clear();
+                }
+            } else if p95 > self.cfg.demote_p95.as_micros() as u64 {
+                self.degraded = true;
+                self.demotions += 1;
+                self.waits.clear();
+            }
+        }
+    }
+
+    #[test]
+    fn running_counts_decide_exactly_like_the_sorted_window() {
+        let mut state: u64 = 0x5EED_0F5E;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound.max(1)
+        };
+        let mut flips = 0;
+        for case in 0..120 {
+            let demote = 1_000 + next(5_000);
+            let c = ShedController::new(ShedConfig {
+                demote_p95: Duration::from_micros(demote),
+                // Sometimes above `demote`, to exercise the clamp.
+                promote_p95: Duration::from_micros(next(demote * 5 / 4)),
+                window: next(48) as usize,
+            });
+            let mut r = Reference {
+                cfg: c.cfg.clone(),
+                waits: VecDeque::new(),
+                degraded: false,
+                demotions: 0,
+                promotions: 0,
+            };
+            let promote = c.cfg.promote_p95.as_micros() as u64;
+            for i in 0..1_500 {
+                // Alternate pressure and calm phases so both transitions
+                // fire, with values at and around both thresholds.
+                let pressure = (i / (20 + case % 40)) % 2 == 0;
+                let us = match next(8) {
+                    0 => demote,
+                    1 => promote,
+                    2 => demote + 1,
+                    3 => promote.saturating_sub(1),
+                    _ if pressure => demote + next(20_000),
+                    _ => next(promote + 1),
+                };
+                c.observe_wait(Duration::from_micros(us));
+                r.observe(us);
+                assert_eq!(
+                    (c.is_degraded(), c.demotions(), c.promotions()),
+                    (r.degraded, r.demotions, r.promotions),
+                    "case {case}, sample {i}, wait {us}µs"
+                );
+            }
+            flips += r.demotions + r.promotions;
+        }
+        assert!(flips > 100, "the sequences must exercise both transitions");
     }
 }

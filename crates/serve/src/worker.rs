@@ -1,9 +1,15 @@
-//! Fixed-size worker pool over `std::thread` and channels.
+//! Fixed-size worker pool over `std::thread`, pulling from one queue.
 //!
-//! Workers pull [`Batch`]es from a shared receiver, run the model's batched
-//! predict, and answer each row's reply channel. The pool tracks how many
-//! workers are currently executing so the batcher can decide between
-//! immediate dispatch (a worker is idle) and coalescing (all busy).
+//! The pool owns the admission queue: a `VecDeque` of jobs, a `closed`
+//! flag and a sleeper count under one mutex and condvar. A job is either
+//! one row queued by the [`Batcher`](crate::batcher::Batcher) or a
+//! pre-formed [`Batch`] handed to [`WorkerPool::submit`]. A free worker
+//! takes up to `max_batch` rows from the front in one critical section,
+//! then — outside the lock — assembles them into per-model batches (see
+//! the batcher) and runs each batched predict, answering every row's
+//! [`ReplySink`]. Rows therefore coalesce exactly while every worker is
+//! busy, and a lone row on an idle pool is taken at once. Producers
+//! signal the condvar only when a worker sleeps.
 //!
 //! # Fault containment
 //!
@@ -18,11 +24,13 @@
 use crate::faults::FaultInjector;
 use crate::metrics::ModelMetrics;
 use crate::registry::ServedModel;
+use crate::shed::ShedController;
 use crate::{lock_unpoisoned, ServeError};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -32,7 +40,7 @@ pub enum WorkError {
     /// The row's deadline passed before any model arithmetic ran; it was
     /// shed pre-compute. The front-end answers through the degraded path.
     Expired,
-    /// The batcher was draining at shutdown; the row was never dispatched.
+    /// The batcher was draining at shutdown; no worker took the row.
     Draining,
     /// The row's [`ReplySink`] was dropped without ever being answered —
     /// the worker executing it panicked or exited. Front-ends treat this
@@ -138,8 +146,8 @@ pub struct WorkItem {
     /// When the row entered the queue — start of the latency measurement.
     pub enqueued_at: Instant,
     /// Answer-by time. A row whose deadline has passed is shed before any
-    /// model arithmetic runs — at drain time in the batcher and again just
-    /// before compute in the worker (`None`: never expires).
+    /// model arithmetic runs — when a worker takes it and again just
+    /// before compute (`None`: never expires).
     pub deadline: Option<Instant>,
     /// Where the answer goes (blocking channel or poller callback).
     pub reply: ReplySink,
@@ -163,12 +171,124 @@ pub struct Batch {
     pub items: Vec<WorkItem>,
 }
 
+/// A queued row bound to the model version resolved at enqueue time.
+#[derive(Debug)]
+pub(crate) struct Pending {
+    pub(crate) model: Arc<ServedModel>,
+    pub(crate) metrics: Arc<ModelMetrics>,
+    pub(crate) item: WorkItem,
+}
+
+/// One unit of queued work.
+#[derive(Debug)]
+pub(crate) enum Job {
+    /// A row from the batcher; workers coalesce consecutive rows.
+    Row(Pending),
+    /// A batch from [`WorkerPool::submit`], run as formed.
+    Batch(Batch),
+}
+
+/// Everything under the queue's lock.
+#[derive(Debug)]
+pub(crate) struct QueueState {
+    pub(crate) jobs: VecDeque<Job>,
+    /// The batcher refuses new rows (it began draining).
+    pub(crate) draining: bool,
+    /// The pool shut down: workers exit once the queue is empty.
+    pub(crate) closed: bool,
+    /// Workers blocked on `ready`; producers signal only when non-zero.
+    pub(crate) sleepers: usize,
+    /// Queued [`Job::Batch`]es, bounded by the pool's `queue_depth`.
+    batches: usize,
+    /// Most rows one take coalesces (set by the batcher).
+    pub(crate) max_batch: usize,
+    /// Shed controller fed at take time (set by the batcher).
+    pub(crate) shed: Option<Arc<ShedController>>,
+}
+
+/// The pool's admission queue, shared by its workers and the batcher.
+#[derive(Debug)]
+pub(crate) struct WorkQueue {
+    state: Mutex<QueueState>,
+    /// Signalled when a job arrives or the pool closes.
+    pub(crate) ready: Condvar,
+    /// Signalled when a queued batch is taken (bounds `submit`).
+    space: Condvar,
+    depth: usize,
+}
+
+impl WorkQueue {
+    fn new(depth: usize) -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                draining: false,
+                closed: false,
+                sleepers: 0,
+                batches: 0,
+                max_batch: 1,
+                shed: None,
+            }),
+            ready: Condvar::new(),
+            space: Condvar::new(),
+            depth: depth.max(1),
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, QueueState> {
+        lock_unpoisoned(&self.state)
+    }
+
+    /// Blocks until there is work, then takes it: one pre-formed batch, or
+    /// up to `max_batch` consecutive rows from the front. `None` once the
+    /// pool is closed and the queue is empty.
+    fn take(&self) -> Option<Vec<Batch>> {
+        let mut q = self.lock();
+        while q.jobs.is_empty() && !q.closed {
+            q.sleepers += 1;
+            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
+            q.sleepers -= 1;
+        }
+        let first = match q.jobs.pop_front() {
+            None => return None, // closed and empty
+            Some(Job::Batch(batch)) => {
+                q.batches -= 1;
+                drop(q);
+                self.space.notify_one();
+                return Some(vec![batch]);
+            }
+            Some(Job::Row(p)) => p,
+        };
+        let mut rows = Vec::with_capacity(q.max_batch.min(q.jobs.len() + 1));
+        rows.push(first);
+        while rows.len() < q.max_batch {
+            match q.jobs.pop_front() {
+                Some(Job::Row(p)) => rows.push(p),
+                Some(job) => {
+                    q.jobs.push_front(job);
+                    break;
+                }
+                None => break,
+            }
+        }
+        let backlog = !q.jobs.is_empty();
+        let shed = q.shed.clone();
+        let max_batch = q.max_batch;
+        drop(q);
+        Some(crate::batcher::assemble(
+            rows,
+            backlog,
+            shed.as_deref(),
+            max_batch,
+        ))
+    }
+}
+
 /// Fixed pool of prediction threads.
 #[derive(Debug)]
 pub struct WorkerPool {
-    tx: Option<SyncSender<Batch>>,
+    pub(crate) queue: Arc<WorkQueue>,
     handles: Vec<JoinHandle<()>>,
-    busy: Arc<AtomicUsize>,
     alive: Arc<AtomicUsize>,
     workers: usize,
 }
@@ -179,100 +299,104 @@ pub struct WorkerPool {
 /// reused across every batch the worker serves, so the steady-state hot path
 /// performs no per-request hypervector allocations.
 fn run_batch(batch: Batch, scratch: &mut reghd::PredictScratch) {
-    // Last-chance deadline check: a row can expire while its batch sat in
-    // the dispatch channel. Shedding here keeps expired rows from paying
-    // for encode/predict arithmetic nobody is waiting for.
+    // Last-chance deadline check: a row can expire between the take and
+    // compute (behind an earlier batch of the same take, or an injected
+    // stall). Shedding here keeps expired rows from paying for
+    // encode/predict arithmetic nobody is waiting for.
     let now = Instant::now();
-    let (live, expired): (Vec<WorkItem>, Vec<WorkItem>) =
-        batch.items.into_iter().partition(|i| !i.is_expired(now));
-    for item in expired {
-        batch.metrics.record_expired();
-        item.reply.send(Err(WorkError::Expired));
+    let mut rows = Vec::with_capacity(batch.items.len());
+    let mut sinks = Vec::with_capacity(batch.items.len());
+    for item in batch.items {
+        if item.is_expired(now) {
+            batch.metrics.record_expired();
+            item.reply.send(Err(WorkError::Expired));
+        } else {
+            rows.push(item.row);
+            sinks.push((item.enqueued_at, item.reply));
+        }
     }
-    if live.is_empty() {
+    if rows.is_empty() {
         return;
     }
-    let rows: Vec<Vec<f32>> = live.iter().map(|i| i.row.clone()).collect();
     batch.metrics.record_batch(rows.len());
     match batch.model.bundle.predict_with(&rows, scratch) {
         Ok(preds) => {
-            for (item, pred) in live.into_iter().zip(preds) {
-                batch.metrics.record_ok(item.enqueued_at.elapsed());
-                item.reply.send(Ok(pred));
+            for ((enqueued_at, reply), pred) in sinks.into_iter().zip(preds) {
+                batch.metrics.record_ok(enqueued_at.elapsed());
+                reply.send(Ok(pred));
             }
         }
         Err(msg) => {
-            for item in live {
+            for (_, reply) in sinks {
                 batch.metrics.record_error();
-                item.reply.send(Err(WorkError::Failed(msg.clone())));
+                reply.send(Err(WorkError::Failed(msg.clone())));
             }
         }
     }
 }
 
-/// The per-thread worker loop. Returns when the dispatch channel closes or
-/// an injected kill is consumed.
-fn worker_loop(
-    rx: Arc<Mutex<Receiver<Batch>>>,
-    busy: Arc<AtomicUsize>,
-    alive: Arc<AtomicUsize>,
-    injector: Option<Arc<FaultInjector>>,
-) {
+/// Runs one batch under the injector's faults. Returns `false` when an
+/// injected kill ends this worker.
+fn run_guarded(
+    batch: Batch,
+    scratch: &mut reghd::PredictScratch,
+    alive: &AtomicUsize,
+    injector: Option<&FaultInjector>,
+) -> bool {
+    let mut injected_panic = false;
+    if let Some(inj) = injector {
+        if let Some(d) = inj.worker_delay() {
+            std::thread::sleep(d);
+        }
+        if inj.take_kill() {
+            // Exit as if crashed — unless this is the last live worker, in
+            // which case the kill is dropped (a pool that can never make
+            // progress again is an outage, not a recoverable fault).
+            if alive.fetch_sub(1, Ordering::SeqCst) > 1 {
+                // `batch` drops here: its reply senders disconnect and
+                // waiting clients take the degraded path.
+                return false;
+            }
+            alive.fetch_add(1, Ordering::SeqCst);
+        }
+        injected_panic = inj.take_panic();
+    }
+    let metrics = batch.metrics.clone();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if injected_panic {
+            panic!("injected worker panic");
+        }
+        run_batch(batch, scratch);
+    }));
+    if outcome.is_err() {
+        // The batch was consumed by the unwind; its reply senders are gone,
+        // which is exactly the disconnect signal clients expect.
+        metrics.record_panic();
+    }
+    true
+}
+
+/// The per-thread worker loop. Returns when the pool closes and its queue
+/// is empty, or an injected kill is consumed (the rest of that take drops,
+/// so its rows' clients take the degraded path).
+fn worker_loop(queue: &WorkQueue, alive: &AtomicUsize, injector: Option<&FaultInjector>) {
     // One scratch per worker thread, reused for the thread's lifetime. Every
     // buffer in it is fully overwritten before use, so it needs no reset
     // even after a contained panic.
     let mut scratch = reghd::PredictScratch::default();
-    loop {
-        // Holding the mutex only while waiting for one batch keeps the
-        // other workers free to grab the next.
-        let batch = match lock_unpoisoned(&rx).recv() {
-            Ok(b) => b,
-            Err(_) => {
-                // Pool dropped its sender: orderly shutdown.
-                alive.fetch_sub(1, Ordering::SeqCst);
+    while let Some(batches) = queue.take() {
+        for batch in batches {
+            if !run_guarded(batch, &mut scratch, alive, injector) {
                 return;
             }
-        };
-        busy.fetch_add(1, Ordering::SeqCst);
-        let mut injected_panic = false;
-        if let Some(inj) = &injector {
-            if let Some(d) = inj.worker_delay() {
-                std::thread::sleep(d);
-            }
-            if inj.take_kill() {
-                // Exit as if crashed — unless this is the last live
-                // worker, in which case the kill is dropped (a pool that
-                // can never make progress again is an outage, not a
-                // recoverable fault).
-                if alive.fetch_sub(1, Ordering::SeqCst) > 1 {
-                    busy.fetch_sub(1, Ordering::SeqCst);
-                    // `batch` drops here: its reply senders disconnect and
-                    // waiting clients take the degraded path.
-                    return;
-                }
-                alive.fetch_add(1, Ordering::SeqCst);
-            }
-            injected_panic = inj.take_panic();
         }
-        let metrics = batch.metrics.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if injected_panic {
-                panic!("injected worker panic");
-            }
-            run_batch(batch, &mut scratch);
-        }));
-        if outcome.is_err() {
-            // The batch was consumed by the unwind; its reply senders are
-            // gone, which is exactly the disconnect signal clients expect.
-            metrics.record_panic();
-        }
-        busy.fetch_sub(1, Ordering::SeqCst);
     }
+    alive.fetch_sub(1, Ordering::SeqCst);
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads (clamped to at least 1) with a dispatch
-    /// channel holding at most `queue_depth` batches.
+    /// Spawns `workers` threads (clamped to at least 1). At most
+    /// `queue_depth` batches from [`WorkerPool::submit`] wait at once.
     ///
     /// # Errors
     ///
@@ -302,25 +426,21 @@ impl WorkerPool {
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<Self, ServeError> {
         let workers = workers.max(1);
-        let (tx, rx) = sync_channel::<Batch>(queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let busy = Arc::new(AtomicUsize::new(0));
+        let queue = Arc::new(WorkQueue::new(queue_depth));
         let alive = Arc::new(AtomicUsize::new(workers));
         let mut pool = Self {
-            tx: Some(tx),
+            queue: queue.clone(),
             handles: Vec::with_capacity(workers),
-            busy: busy.clone(),
             alive: alive.clone(),
             workers,
         };
         for i in 0..workers {
-            let rx = rx.clone();
-            let busy = busy.clone();
+            let queue = queue.clone();
             let worker_alive = alive.clone();
             let injector = injector.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("reghd-worker-{i}"))
-                .spawn(move || worker_loop(rx, busy, worker_alive, injector));
+                .spawn(move || worker_loop(&queue, &worker_alive, injector.as_deref()));
             match handle {
                 Ok(h) => pool.handles.push(h),
                 Err(e) => {
@@ -345,29 +465,40 @@ impl WorkerPool {
         self.alive.load(Ordering::SeqCst)
     }
 
-    /// Whether at least one live worker is idle right now. Advisory — the
-    /// answer can be stale by the time the caller acts on it, which only
-    /// costs a slightly suboptimal coalescing decision, never correctness.
-    pub fn has_idle_worker(&self) -> bool {
-        self.busy.load(Ordering::SeqCst) < self.alive.load(Ordering::SeqCst)
-    }
-
-    /// Submits a batch, blocking if the dispatch channel is full.
+    /// Queues a pre-formed batch, blocking while `queue_depth` batches
+    /// already wait. A worker runs it as formed.
     ///
     /// # Errors
     ///
     /// Returns the batch back if the pool has shut down.
     pub fn submit(&self, batch: Batch) -> Result<(), Batch> {
-        match &self.tx {
-            Some(tx) => tx.send(batch).map_err(|e| e.0),
-            None => Err(batch),
+        let mut q = self.queue.lock();
+        while q.batches >= self.queue.depth && !q.closed {
+            q = self
+                .queue
+                .space
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        if q.closed {
+            return Err(batch);
+        }
+        q.jobs.push_back(Job::Batch(batch));
+        q.batches += 1;
+        let wake = q.sleepers > 0;
+        drop(q);
+        if wake {
+            self.queue.ready.notify_one();
+        }
+        Ok(())
     }
 
     /// Stops accepting work and joins all workers after they drain the
-    /// channel. Called automatically on drop.
+    /// queue. Called automatically on drop.
     pub fn shutdown(&mut self) {
-        self.tx.take(); // closing the channel ends every worker loop
+        self.queue.lock().closed = true;
+        self.queue.ready.notify_all();
+        self.queue.space.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -381,11 +512,23 @@ impl Drop for WorkerPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A pool with no threads: queued jobs stay put, so admission can be
+    /// tested deterministically.
+    pub(crate) fn without_workers() -> WorkerPool {
+        WorkerPool {
+            queue: Arc::new(WorkQueue::new(1)),
+            handles: Vec::new(),
+            alive: Arc::new(AtomicUsize::new(0)),
+            workers: 0,
+        }
+    }
     use crate::bundle;
     use crate::registry::ModelRegistry;
     use datasets::Dataset;
+    use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
 
     fn toy_model() -> (ModelRegistry, Arc<ServedModel>) {
@@ -585,9 +728,9 @@ mod tests {
     #[test]
     fn expired_item_inside_assembled_batch_is_shed_pre_compute() {
         // A row can expire after batch assembly but before compute (e.g.
-        // while the batch sat behind a slow predecessor in the dispatch
-        // channel). It must be answered `Expired` without being predicted,
-        // while live companions in the same batch are served normally.
+        // while the batch sat behind a slow predecessor in the queue). It
+        // must be answered `Expired` without being predicted, while live
+        // companions in the same batch are served normally.
         let (_reg, served) = toy_model();
         let metrics = Arc::new(ModelMetrics::default());
         let pool = WorkerPool::new(1, 4).unwrap();

@@ -119,8 +119,10 @@ proptest! {
     }
 }
 
-/// One `PREDICT` frame per row against a running RGNP server; returns
-/// the bits of each full-precision reply.
+/// Trains a bundle with `threads`-way row parallelism, serves it over
+/// RGNP, and sends one `PREDICT` frame per row; returns the bits of each
+/// full-precision reply. The server pins served models to one thread, so
+/// any difference between thread counts comes from training.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -131,7 +133,7 @@ fn serve_and_predict(threads: usize, xs: &[Vec<f32>]) -> Vec<u32> {
 
     let (train_xs, train_ys) = rows(80, 4);
     let ds = datasets::Dataset::new("par-eq", train_xs, train_ys);
-    let (bundle, _) = bundle::train(&ds, 256, 2, 6, 3, false).unwrap();
+    let (bundle, _) = bundle::train_with_threads(&ds, 256, 2, 6, 3, false, threads).unwrap();
     let bytes = bundle.to_bytes().unwrap();
 
     let registry = Arc::new(ModelRegistry::new());
@@ -141,12 +143,16 @@ fn serve_and_predict(threads: usize, xs: &[Vec<f32>]) -> Vec<u32> {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            threads,
             ..NetConfig::default()
         },
-        registry,
+        registry.clone(),
     )
     .unwrap();
+    assert_eq!(
+        registry.get("m").unwrap().bundle.model().threads(),
+        1,
+        "serving pins models to one thread"
+    );
 
     let mut client = RgnpClient::connect(&handle.local_addr().to_string()).unwrap();
     let replies = xs
